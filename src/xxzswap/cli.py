@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,8 +38,8 @@ from .dynamics import (
 from .errors import SingularityError, ValidationError
 from .fidelity import GRID_COLUMNS, fidelity_grid
 from .seeding import DEFAULT_SEED, stream
-from .states import QubitAmplitudes, make_product_state, purity_determinant, reduce_to_qubit
-from .swaps import delta_feasibility_scan, solve_schedule, verify_swap
+from .states import QubitAmplitudes, make_product_state, reduce_to_qubit
+from .swaps import _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,11 +52,24 @@ SEED_ENV_VAR = "XXZSWAP_SEED"
 INJECT_ENV_VAR = "XXZSWAP_VERIFY_INJECT_ERROR"
 
 SCAN_COLUMNS = ("m", "n", "delta", "kind", "trace_overlap", "global_phase")
+REPORT_FIELDS = (
+    "trace_overlap", "global_phase", "max_entry_deviation", "min_state_fidelity",
+    "max_reduced_impurity", "passed",
+)
+EFFECTIVE_FIELDS = (
+    "omega_i", "omega_j", "omega", "t_plus", "t_minus", "f_plus", "f_minus", "f", "j_eff",
+    "delta_tilde", "omega_tilde",
+)
+FEASIBILITY_FIELDS = (
+    "m", "n", "feasible", "required_delta", "delta_residual", "zeeman_phase_residual",
+)
 
 ORACLE_THRESHOLD = 1e-10
 
 
 def _fmt(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -73,13 +89,13 @@ def _json_value(value):
     return str(value)
 
 
-def _write_table(rows: list[dict], columns, fmt: str, path: str | None) -> None:
+def _write_table(rows, columns, fmt: str, path: str | None) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+        lines.extend(",".join(_fmt(getattr(row, c)) for c in columns) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
+        payload = [{c: _json_value(getattr(row, c)) for c in columns} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -91,45 +107,34 @@ def _write_table(rows: list[dict], columns, fmt: str, path: str | None) -> None:
             raise ValidationError(f"cannot write output {path!r}: {exc}") from None
 
 
-def _print_fields(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key} = {_fmt(value)}")
+def _print_fields(obj, names, suffix: str = "") -> None:
+    for name in names:
+        print(f"{name}{suffix} = {_fmt(getattr(obj, name))}")
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return DEFAULT_SEED
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if not 0 <= seed < 2**128:  # the seed is the Philox key
+        raise ValidationError(f"{source} must lie in [0, 2**128), got {seed}")
+    return seed
 
 
 def cmd_swap_solve(args) -> int:
     seed = _resolve_seed(args)
     plan = solve_schedule(args.m, args.n, args.tau)
     report = verify_swap(plan, tolerance=args.tolerance, seed=seed)
-    _print_fields(
-        [
-            ("m", plan.m),
-            ("n", plan.n),
-            ("tau", plan.tau),
-            ("J", plan.params.J),
-            ("Delta", plan.params.Delta),
-            ("Gamma", plan.params.Gamma),
-            ("kind", plan.kind.value),
-            ("delta_at_least_one", plan.delta_at_least_one),
-            ("trace_overlap", report.trace_overlap),
-            ("global_phase", report.global_phase),
-            ("max_entry_deviation", report.max_entry_deviation),
-            ("min_state_fidelity", report.min_state_fidelity),
-            ("max_reduced_impurity", report.max_reduced_impurity),
-            ("passed", report.passed),
-        ]
-    )
+    _print_fields(plan, ("m", "n", "tau"))
+    _print_fields(plan.params, ("J", "Delta", "Gamma"))
+    _print_fields(plan, ("kind", "delta_at_least_one"))
+    _print_fields(report, REPORT_FIELDS)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -142,18 +147,7 @@ def cmd_delta_scan(args) -> int:
         tolerance=args.tolerance,
         seed=seed,
     )
-    table = [
-        {
-            "m": r.m,
-            "n": r.n,
-            "delta": r.delta,
-            "kind": r.kind.value,
-            "trace_overlap": r.trace_overlap,
-            "global_phase": r.global_phase,
-        }
-        for r in rows
-    ]
-    _write_table(table, SCAN_COLUMNS, args.format, args.output)
+    _write_table(rows, SCAN_COLUMNS, args.format, args.output)
     return EXIT_OK
 
 
@@ -164,11 +158,7 @@ def cmd_fidelity_sweep(args) -> int:
     xz = np.linspace(0.0, args.max_xz, args.points)
     h = np.linspace(0.0, args.max_h, args.points)
     rows = fidelity_grid(xz, h, samples=args.samples, seed=seed)
-    table = [
-        {c: getattr(r, c) for c in GRID_COLUMNS}
-        for r in rows
-    ]
-    _write_table(table, GRID_COLUMNS, args.format, args.output)
+    _write_table(rows, GRID_COLUMNS, args.format, args.output)
     return EXIT_OK
 
 
@@ -220,41 +210,16 @@ def cmd_pseudospin_map(args) -> int:
     levels_i = perturbed_levels(dot_i)
     levels_j = perturbed_levels(dot_j)
     effective = effective_params(dot_i, dot_j, coupling)
-    _print_fields(
-        [
-            ("c_plus_i", levels_i.c_plus),
-            ("c_minus_i", levels_i.c_minus),
-            ("c_plus_j", levels_j.c_plus),
-            ("c_minus_j", levels_j.c_minus),
-            ("omega_i", effective.omega_i),
-            ("omega_j", effective.omega_j),
-            ("omega", effective.omega),
-            ("t_plus", effective.t_plus),
-            ("t_minus", effective.t_minus),
-            ("f_plus", effective.f_plus),
-            ("f_minus", effective.f_minus),
-            ("f", effective.f),
-            ("j_eff", effective.j_eff),
-            ("delta_tilde", effective.delta_tilde),
-            ("omega_tilde", effective.omega_tilde),
-        ]
-    )
+    _print_fields(levels_i, ("c_plus", "c_minus"), "_i")
+    _print_fields(levels_j, ("c_plus", "c_minus"), "_j")
+    _print_fields(effective, EFFECTIVE_FIELDS)
     if args.m is None and args.n is None:
         return EXIT_OK
     if args.m is None or args.n is None:
         raise ValidationError("--m and --n must be given together")
     result = map_to_swap(effective, args.m, args.n, tolerance=args.tolerance)
-    _print_fields(
-        [
-            ("m", result.m),
-            ("n", result.n),
-            ("feasible", result.feasible),
-            ("required_delta", result.required_delta),
-            ("delta_residual", result.delta_residual),
-            ("zeeman_phase_residual", result.zeeman_phase_residual),
-            ("tau", result.tau if result.tau is not None else math.nan),
-        ]
-    )
+    _print_fields(result, FEASIBILITY_FIELDS)
+    print(f"tau = {_fmt(result.tau if result.tau is not None else math.nan)}")
     for failure in result.failures:
         print(f"failure: {failure}")
     return EXIT_OK
@@ -262,6 +227,8 @@ def cmd_pseudospin_map(args) -> int:
 
 def cmd_verify_dynamics(args) -> int:
     seed = _resolve_seed(args)
+    if args.cases < 1:
+        raise ValidationError("--cases must be >= 1")
     rng = stream(seed, 0)
 
     propagator_cases = args.cases
@@ -278,12 +245,10 @@ def cmd_verify_dynamics(args) -> int:
     determinant_cases = 2 * args.cases
     worst_determinant = 0.0
     for _ in range(determinant_cases):
-        alpha = _random_qubit(rng)
-        beta = _random_qubit(rng)
+        alpha, beta = (QubitAmplitudes(*q) for q in _random_qubits(rng, 2))
         phases = PhaseTriple(*rng.uniform(-10.0, 10.0, 3))
-        direct = purity_determinant(
-            reduce_to_qubit(propagate(make_product_state(alpha, beta), phases), 0)
-        )
+        evolved = propagate(make_product_state(alpha, beta), phases)
+        direct = reduce_to_qubit(evolved, 0).determinant()
         closed = reduced_determinant_closed_form(alpha, beta, phases)
         worst_determinant = max(worst_determinant, abs(direct - closed))
 
@@ -292,22 +257,16 @@ def cmd_verify_dynamics(args) -> int:
         worst_determinant += 1e-6
 
     passed = worst_propagator < ORACLE_THRESHOLD and worst_determinant < ORACLE_THRESHOLD
-    _print_fields(
-        [
-            ("propagator_cases", propagator_cases),
-            ("propagator_max_deviation", worst_propagator),
-            ("determinant_cases", determinant_cases),
-            ("determinant_max_deviation", worst_determinant),
-            ("threshold", ORACLE_THRESHOLD),
-            ("passed", passed),
-        ]
+    summary = SimpleNamespace(
+        propagator_cases=propagator_cases,
+        propagator_max_deviation=worst_propagator,
+        determinant_cases=determinant_cases,
+        determinant_max_deviation=worst_determinant,
+        threshold=ORACLE_THRESHOLD,
+        passed=passed,
     )
+    _print_fields(summary, vars(summary))
     return EXIT_OK if passed else EXIT_VERIFY
-
-
-def _random_qubit(rng: np.random.Generator) -> QubitAmplitudes:
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return QubitAmplitudes.normalized(v[0], v[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="schedule duration")
     p.add_argument("--tolerance", type=float, default=1e-10)
     add_seed(p)
-    p.set_defaults(func=cmd_swap_solve)
 
     p = sub.add_parser("delta-scan", help="verify all integer pairs over given ranges")
     p.add_argument("--m-min", type=int, default=-3)
@@ -346,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     add_seed(p)
-    p.set_defaults(func=cmd_delta_scan)
 
     p = sub.add_parser(
         "fidelity-sweep",
@@ -359,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     add_seed(p)
-    p.set_defaults(func=cmd_fidelity_sweep)
 
     p = sub.add_parser(
         "pseudospin-map",
@@ -369,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="check feasibility of this swap index")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.set_defaults(func=cmd_pseudospin_map)
 
     p = sub.add_parser(
         "verify-dynamics",
@@ -377,16 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cases", type=int, default=500, help="propagator cases (determinant uses 2x)")
     add_seed(p)
-    p.set_defaults(func=cmd_verify_dynamics)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # by name at call time: the parser is built once, but a cmd_* function
+    # rebound later (by a tracer, say) must still be the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

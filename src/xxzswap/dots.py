@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .dynamics import XxzParams
 from .errors import SingularityError, ValidationError
-from .swaps import SwapPlan, solve_schedule
+from .swaps import SwapPlan, _check_integer_pair, _check_tolerance, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
 MIXING_WARN_THRESHOLD = 0.3
@@ -101,6 +101,8 @@ class CouplingSpec:
             object.__setattr__(self, name, value)
         if self.U == self.V:
             raise ValidationError("U and V must differ; the exchange scales as 1/(U - V)")
+        if not math.isfinite(self.U - self.V):
+            raise ValidationError(f"U - V must be finite, got {self.U - self.V!r}")
 
 
 @dataclass(frozen=True)
@@ -274,9 +276,9 @@ def map_to_swap(
     returned plan, when feasible, is the exact requirement at that duration;
     the residuals quantify how far the device parameters sit from it.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValidationError("m and n must be integers")
-    if m == n or (m - n) % 2 == 0:
+    m, n = _check_integer_pair(m, n)
+    tolerance = _check_tolerance(tolerance)
+    if (m - n) % 2 == 0:
         raise ValidationError("|m - n| must be odd for a swap; even pairs return each qubit to itself")
     required_delta = (m + n) / (m - n)
     failures: list[str] = []

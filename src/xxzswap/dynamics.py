@@ -189,26 +189,19 @@ def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
 
 
 def propagate(state: TwoQubitPureState, phases: PhaseTriple) -> TwoQubitPureState:
-    """Apply the closed-form propagator to an arbitrary pure state.
+    """Apply the closed-form propagator to an arbitrary pure state."""
+    return TwoQubitPureState(*(propagator_matrix(phases) @ state.as_vector()).tolist())
+
+
+def propagator_matrix(phases: PhaseTriple) -> np.ndarray:
+    """The closed-form propagator in the computational basis (unitary).
 
     The evolution is diagonal in the conserved-Sz eigenbasis: |00> and |11>
     acquire the phases -(phi_h + phi_z/4) and +(phi_h - phi_z/4), while the
     {|01>, |10>} block rotates through the angle phi_x/2 under a common
-    phase phi_z/4. Norm is preserved.
+    phase phi_z/4. Stacked amplitudes ``psi`` of shape (..., 4) evolve as
+    ``psi @ propagator_matrix(phases).T``.
     """
-    half = 0.5 * phases.phi_x
-    c, s = math.cos(half), math.sin(half)
-    block_phase = cmath.exp(0.25j * phases.phi_z)
-    return TwoQubitPureState(
-        cmath.exp(-1j * (phases.phi_h + 0.25 * phases.phi_z)) * state.c00,
-        block_phase * (c * state.c01 - 1j * s * state.c10),
-        block_phase * (-1j * s * state.c01 + c * state.c10),
-        cmath.exp(1j * (phases.phi_h - 0.25 * phases.phi_z)) * state.c11,
-    )
-
-
-def propagator_matrix(phases: PhaseTriple) -> np.ndarray:
-    """Matrix of :func:`propagate` in the computational basis (unitary)."""
     half = 0.5 * phases.phi_x
     c, s = math.cos(half), math.sin(half)
     block_phase = cmath.exp(0.25j * phases.phi_z)

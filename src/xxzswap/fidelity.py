@@ -27,6 +27,7 @@ import numpy as np
 from .dynamics import PhaseTriple, propagator_matrix
 from .errors import ValidationError
 from .seeding import DEFAULT_SEED, stream
+from .states import _expectation, _product
 from .swaps import SWAP_MATRIX, is_swap_point
 
 #: Swap-point phases used as the default fluctuation mean: the (m, n) = (2, 1)
@@ -83,8 +84,7 @@ class McEstimate:
 
 def gate_fidelity(phases: PhaseTriple) -> float:
     """Closed-form swap-gate fidelity at the given accumulated phases."""
-    s = math.sin(0.5 * phases.phi_x)
-    return 1 / 5 + (8 / 15) * s * s + (4 / 15) * s * math.sin(0.5 * phases.phi_z + phases.phi_h)
+    return float(_fidelity_values(phases.phi_x, phases.phi_z, phases.phi_h))
 
 
 def _fidelity_values(phi_x: np.ndarray, phi_z: np.ndarray, phi_h: np.ndarray) -> np.ndarray:
@@ -105,27 +105,25 @@ def average_fidelity_analytic(spec: FluctuationSpec) -> float:
             "phi_h = n*pi, phi_z = (2n + d)*pi); the closed-form average only "
             "holds there"
         )
-    lx2 = spec.lambda_x**2
-    lz2 = spec.lambda_z**2
-    lh2 = spec.lambda_h**2
+    # products saturate to inf where ** would raise OverflowError
+    lx2 = spec.lambda_x * spec.lambda_x
+    lz2 = spec.lambda_z * spec.lambda_z
+    lh2 = spec.lambda_h * spec.lambda_h
     return 7 / 15 + (4 / 15) * (math.exp(-lx2 / 2) + math.exp(-(lx2 + lz2 + 4 * lh2) / 8))
 
 
-def _phase_chunk_stats(spec: FluctuationSpec, samples: int, seed: int, index: int):
-    """Sum and sum of squares of the fidelity over one sample chunk.
+def _phase_values(spec: FluctuationSpec):
+    """Sampler of the closed-form fidelity at Gaussian-fluctuating phases."""
 
-    Chunk contents depend only on (seed, index), so chunks may be evaluated
-    in any order, or in parallel, and reduced by index.
-    """
-    start = index * CHUNK_SAMPLES
-    n = min(CHUNK_SAMPLES, samples - start)
-    z = stream(seed, index).standard_normal((3, n))
-    f = _fidelity_values(
-        spec.mean_phases.phi_x + spec.lambda_x * z[0],
-        spec.mean_phases.phi_z + spec.lambda_z * z[1],
-        spec.mean_phases.phi_h + spec.lambda_h * z[2],
-    )
-    return float(np.sum(f)), float(np.sum(f * f)), n
+    def values(rng: np.random.Generator, n: int) -> np.ndarray:
+        z = rng.standard_normal((3, n))
+        return _fidelity_values(
+            spec.mean_phases.phi_x + spec.lambda_x * z[0],
+            spec.mean_phases.phi_z + spec.lambda_z * z[1],
+            spec.mean_phases.phi_h + spec.lambda_h * z[2],
+        )
+
+    return values
 
 
 def average_fidelity_mc(
@@ -140,14 +138,7 @@ def average_fidelity_mc(
     Bitwise reproducible for fixed (seed, samples) regardless of how the
     fixed-size chunks are scheduled.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    total = total_sq = 0.0
-    for index in range(_n_chunks(samples)):
-        s, s2, _ = _phase_chunk_stats(spec, samples, seed, index)
-        total += s
-        total_sq += s2
-    return _finish_estimate(total, total_sq, samples, seed)
+    return _estimate(_phase_values(spec), samples, seed)
 
 
 def state_ensemble_fidelity(
@@ -171,32 +162,25 @@ def state_ensemble_fidelity(
     1/3 while the closed form gives 1/5. Report both values side by side
     rather than forcing agreement.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
     if measure not in ENSEMBLE_MEASURES:
         raise ValidationError(
             f"unknown measure {measure!r}; expected one of {ENSEMBLE_MEASURES}"
         )
     overlap_op = SWAP_MATRIX @ propagator_matrix(phases)
-    total = total_sq = 0.0
-    for index in range(_n_chunks(samples)):
-        start = index * CHUNK_SAMPLES
-        n = min(CHUNK_SAMPLES, samples - start)
-        u = stream(seed, index).random((4, n))
+
+    def values(rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.random((4, n))
         if measure == "haar_product":
-            theta_i = np.arccos(1.0 - 2.0 * u[0])
-            theta_j = np.arccos(1.0 - 2.0 * u[1])
+            theta = np.arccos(1.0 - 2.0 * u[:2])
         else:
-            theta_i = np.pi * u[0]
-            theta_j = np.pi * u[1]
-        a0, a1 = np.cos(theta_i / 2), np.exp(2j * np.pi * u[2]) * np.sin(theta_i / 2)
-        b0, b1 = np.cos(theta_j / 2), np.exp(2j * np.pi * u[3]) * np.sin(theta_j / 2)
-        psi = np.array([a0 * b0, a0 * b1, a1 * b0, a1 * b1])
-        amp = np.sum(np.conj(psi) * (overlap_op @ psi), axis=0)
-        f = np.abs(amp) ** 2
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-    return _finish_estimate(total, total_sq, samples, seed)
+            theta = np.pi * u[:2]
+        # qubit i then j, each with amplitudes (cos(theta/2), e^{i phi} sin(theta/2))
+        qubits = np.empty((2, n, 2), dtype=complex)
+        qubits[..., 0] = np.cos(theta / 2)
+        qubits[..., 1] = np.exp(2j * np.pi * u[2:]) * np.sin(theta / 2)
+        return np.abs(_expectation(overlap_op, _product(qubits[0], qubits[1]))) ** 2
+
+    return _estimate(values, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -268,11 +252,26 @@ def fidelity_grid(
     return rows
 
 
-def _n_chunks(samples: int) -> int:
-    return (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
+def _chunk_stats(values, samples: int, seed: int, index: int):
+    """Sum and sum of squares of ``values(rng, n)`` over one sample chunk.
+
+    Chunk contents depend only on (seed, index), so chunks may be evaluated
+    in any order, or in parallel, and reduced by index.
+    """
+    n = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
+    f = values(stream(seed, index), n)
+    return float(np.sum(f)), float(np.sum(f * f)), n
 
 
-def _finish_estimate(total: float, total_sq: float, samples: int, seed: int) -> McEstimate:
+def _estimate(values, samples: int, seed: int) -> McEstimate:
+    """Seeded Monte Carlo mean of ``values`` with its standard error."""
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    total = total_sq = 0.0
+    for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
+        s, s2, _ = _chunk_stats(values, samples, seed, index)
+        total += s
+        total_sq += s2
     mean = total / samples
     if samples > 1:
         # sample variance; the max() guards the degenerate all-equal case

@@ -124,7 +124,12 @@ class QubitDensity:
         return np.array([[self.a00, self.a01], [self.a10, self.a11]])
 
     def determinant(self) -> float:
-        """det(rho) = a00 a11 - a01 a10 (real for Hermitian input)."""
+        """Purity determinant det(rho) = a00 a11 - a01 a10.
+
+        Always in [0, 1/4]: zero (within tolerance) exactly for pure states,
+        1/4 for the maximally mixed state. This is the scalar that certifies
+        whether an evolved qubit has disentangled from its partner.
+        """
         return (self.a00 * self.a11 - self.a01 * self.a10).real
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
@@ -132,8 +137,7 @@ class QubitDensity:
 
     def pure_fidelity(self, target: QubitAmplitudes) -> float:
         """Fidelity <chi|rho|chi> against a pure target state chi."""
-        v = target.as_vector()
-        return float(np.real(np.conj(v) @ (self.as_matrix() @ v)))
+        return float(_expectation(self.as_matrix(), target.as_vector()).real)
 
 
 def make_product_state(alpha: QubitAmplitudes, beta: QubitAmplitudes) -> TwoQubitPureState:
@@ -142,34 +146,42 @@ def make_product_state(alpha: QubitAmplitudes, beta: QubitAmplitudes) -> TwoQubi
         n = _norm_sq(q.a0, q.a1)
         if abs(n - 1.0) > NORM_TOL:
             raise ValidationError(f"{name} not normalized: |a|^2 = {n!r}")
-    return TwoQubitPureState(
-        alpha.a0 * beta.a0,
-        alpha.a0 * beta.a1,
-        alpha.a1 * beta.a0,
-        alpha.a1 * beta.a1,
-    )
+    return TwoQubitPureState(*_product(alpha.as_vector(), beta.as_vector()).tolist())
 
 
 def reduce_to_qubit(state: TwoQubitPureState, which: int) -> QubitDensity:
     """Partial trace of a pure state: ``which`` = 0 keeps qubit i, 1 keeps j."""
-    if which == 0:
-        a00 = abs(state.c00) ** 2 + abs(state.c01) ** 2
-        a01 = state.c00 * state.c10.conjugate() + state.c01 * state.c11.conjugate()
-        a11 = abs(state.c10) ** 2 + abs(state.c11) ** 2
-    elif which == 1:
-        a00 = abs(state.c00) ** 2 + abs(state.c10) ** 2
-        a01 = state.c00 * state.c01.conjugate() + state.c10 * state.c11.conjugate()
-        a11 = abs(state.c01) ** 2 + abs(state.c11) ** 2
-    else:
+    if which not in (0, 1):
         raise ValidationError("qubit index must be 0 (qubit i) or 1 (qubit j)")
-    return QubitDensity.from_elements(a00, a01, a11)
+    rho = _partial_trace(state.as_vector(), which)
+    return QubitDensity.from_elements(rho[0, 0], rho[0, 1], rho[1, 1])
 
 
-def purity_determinant(rho: QubitDensity) -> float:
-    """Determinant of a single-qubit density matrix.
+# The closed forms, written once on stacked arrays: (..., 2) qubit
+# amplitudes, (..., 4) two-qubit amplitudes and (..., 2, 2) density matrices.
 
-    Always in [0, 1/4]: zero (within tolerance) exactly for pure states,
-    1/4 for the maximally mixed state. This is the scalar that certifies
-    whether an evolved qubit has disentangled from its partner.
+
+def _product(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Amplitudes of alpha (x) beta, ordered |00>, |01>, |10>, |11>."""
+    return (alpha[..., :, None] * beta[..., None, :]).reshape(alpha.shape[:-1] + (4,))
+
+
+def _partial_trace(psi: np.ndarray, which: int) -> np.ndarray:
+    """Reduced density matrix of qubit i (``which`` = 0) or j (1).
+
+    With the amplitude matrix M[r, c] of ``|r>_i |c>_j``, rho_i = M M^dagger
+    and rho_j = M^T conj(M).
     """
-    return rho.determinant()
+    m = psi.reshape(psi.shape[:-1] + (2, 2))
+    if which == 1:
+        m = np.swapaxes(m, -1, -2)
+    return m @ np.swapaxes(m.conj(), -1, -2)
+
+
+def _expectation(op: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """<chi|op|chi> over the last axis of ``chi``; real for Hermitian op.
+
+    A stack of operators (..., d, d) pairs with a stack of row vectors
+    (..., 1, d) and yields shape (..., 1).
+    """
+    return np.einsum("...r,...r->...", chi.conj(), chi @ np.swapaxes(op, -1, -2))

@@ -25,7 +25,6 @@ from xxzswap import (
     perturbed_levels,
     propagate,
     propagator_matrix,
-    purity_determinant,
     reduce_to_qubit,
     reduced_determinant_closed_form,
     solve_schedule,
@@ -83,9 +82,9 @@ def test_criterion_2_oracle_equivalence():
         alpha = QubitAmplitudes.normalized(v[0], v[1])
         beta = QubitAmplitudes.normalized(v[2], v[3])
         phases = PhaseTriple(*rng.uniform(-10, 10, 3))
-        direct = purity_determinant(
-            reduce_to_qubit(propagate(make_product_state(alpha, beta), phases), 0)
-        )
+        direct = reduce_to_qubit(
+            propagate(make_product_state(alpha, beta), phases), 0
+        ).determinant()
         closed = reduced_determinant_closed_form(alpha, beta, phases)
         worst_determinant = max(worst_determinant, abs(direct - closed))
     elapsed = time.perf_counter() - start

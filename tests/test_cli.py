@@ -50,6 +50,29 @@ class TestSwapSolve:
     def test_nonpositive_duration_exit_usage(self, capsys):
         assert main(["swap-solve", "--m", "2", "--n", "1", "--tau", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--seed", "-1"],
+            ["--seed", str(2**128 + 1)],
+            ["--tolerance", "-1"],
+            ["--tolerance", "nan"],
+        ],
+        ids=["negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance"],
+    )
+    def test_out_of_range_option_exit_usage(self, option, capsys):
+        code = main(["swap-solve", "--m", "2", "--n", "1", "--tau", "1"] + option)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_large_indices_accept_exact_solution(self, capsys):
+        code = main(["swap-solve", "--m", "1310", "--n", "1309", "--tau", "0.3"])
+        fields = parse_fields(capsys.readouterr().out)
+        assert code == 0
+        assert fields["passed"] == "true"
+
     def test_even_pair_reports_return_kind(self, capsys):
         code = main(["swap-solve", "--m", "3", "--n", "1", "--tau", "1"])
         fields = parse_fields(capsys.readouterr().out)
@@ -141,8 +164,10 @@ class TestFidelitySweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_env_seed_exit_usage(self, monkeypatch, capsys):
-        monkeypatch.setenv("XXZSWAP_SEED", "not-a-number")
-        assert main(self.SWEEP) == 2
+        for raw in ("not-a-number", "-1", str(2**128 + 1)):
+            monkeypatch.setenv("XXZSWAP_SEED", raw)
+            assert main(self.SWEEP) == 2
+            assert "XXZSWAP_SEED" in capsys.readouterr().err
 
     def test_default_extent_reaches_wide_fluctuation_limit(self, tmp_path):
         # keep the default grid extents, shrink only the sample count; the
@@ -153,6 +178,12 @@ class TestFidelitySweep:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["f_analytic"]) == 1.0
         assert abs(float(rows[-1]["f_analytic"]) - 7 / 15) < 1e-3
+        # an extent whose squares overflow saturates at the limit
+        argv = ["fidelity-sweep", "--max-xz", "1e200", "--points", "2", "--samples", "10"]
+        assert main(argv + ["--output", str(path)]) == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[-1]["f_analytic"]) == pytest.approx(7 / 15, abs=1e-12)
 
 
 class TestPseudospinMap:
@@ -216,6 +247,13 @@ class TestPseudospinMap:
         assert code == 4
         assert "resonance" in err
 
+    def test_overflowing_gap_exit_usage(self, tmp_path, capsys):
+        config = dict(EXAMPLE_CONFIG)
+        config["coupling"] = dict(config["coupling"], U=1e308, V=-1e308)
+        code = main(["pseudospin-map", "--config", write_config(tmp_path, config)])
+        assert code == 2
+        assert "U - V must be finite" in capsys.readouterr().err
+
     def test_malformed_json_exit_usage(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -243,6 +281,11 @@ class TestVerifyDynamics:
     def test_seed_variation_still_passes(self, capsys):
         for seed in ("1", "2", "3"):
             assert main(["verify-dynamics", "--cases", "50", "--seed", seed]) == 0
+
+    @pytest.mark.parametrize("cases", ["-5", "0"])
+    def test_nonpositive_cases_exit_usage(self, cases, capsys):
+        assert main(["verify-dynamics", "--cases", cases]) == 2
+        assert "passed" not in capsys.readouterr().out
 
     def test_injected_error_fails(self, monkeypatch, capsys):
         monkeypatch.setenv("XXZSWAP_VERIFY_INJECT_ERROR", "1")

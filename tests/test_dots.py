@@ -232,6 +232,9 @@ class TestEffectiveParams:
     def test_coupling_validation(self):
         with pytest.raises(ValidationError, match="U and V"):
             CouplingSpec(U=0.5, V=0.5, t00=0.05, t11=0.05, t12=0.02)
+        # each finite, but U - V overflows and would pass for a resonance
+        with pytest.raises(ValidationError, match="U - V must be finite"):
+            CouplingSpec(U=1e308, V=-1e308, t00=0.05, t11=0.05, t12=0.02)
 
 
 def make_effective(j_eff, delta_tilde, omega_tilde):
@@ -294,6 +297,19 @@ class TestMapToSwap:
         eff = make_effective(j_eff=1.0, delta_tilde=2.0, omega_tilde=0.0)
         with pytest.raises(ValidationError, match="odd"):
             map_to_swap(eff, 3, 1)
+
+    def test_index_and_tolerance_validation(self):
+        eff = make_effective(j_eff=1.0, delta_tilde=1.0, omega_tilde=0.0)
+        result = map_to_swap(eff, np.int64(1), np.int32(0))
+        assert result.feasible
+        assert type(result.m) is int and type(result.n) is int
+        with pytest.raises(ValidationError, match="integer"):
+            map_to_swap(eff, 1.0, 0)
+        with pytest.raises(ValidationError, match="m = n"):
+            map_to_swap(eff, 2, 2)
+        for tolerance in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="tolerance"):
+                map_to_swap(eff, 1, 0, tolerance=tolerance)
 
     def test_tolerance_is_settable(self):
         eff = make_effective(j_eff=1.0, delta_tilde=3.0 + 5e-7, omega_tilde=1.0 + 1e-9)

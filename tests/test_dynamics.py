@@ -22,7 +22,6 @@ from xxzswap import (
     make_product_state,
     propagate,
     propagator_matrix,
-    purity_determinant,
     reduce_to_qubit,
     reduced_determinant_closed_form,
 )
@@ -226,9 +225,9 @@ class TestClosedFormDeterminant:
         phases = PhaseTriple(PI / 2, 1.9, -0.4)
         closed = reduced_determinant_closed_form(alpha, beta, phases)
         assert closed == pytest.approx(0.0625, abs=1e-12)
-        direct = purity_determinant(
-            reduce_to_qubit(propagate(make_product_state(alpha, beta), phases), 0)
-        )
+        direct = reduce_to_qubit(
+            propagate(make_product_state(alpha, beta), phases), 0
+        ).determinant()
         assert closed == pytest.approx(direct, abs=1e-12)
 
     def test_matches_partial_trace_1000_random(self):
@@ -237,9 +236,9 @@ class TestClosedFormDeterminant:
         for _ in range(1000):
             alpha, beta = random_qubit(rng), random_qubit(rng)
             phases = PhaseTriple(*rng.uniform(-10, 10, 3))
-            direct = purity_determinant(
-                reduce_to_qubit(propagate(make_product_state(alpha, beta), phases), 0)
-            )
+            direct = reduce_to_qubit(
+                propagate(make_product_state(alpha, beta), phases), 0
+            ).determinant()
             closed = reduced_determinant_closed_form(alpha, beta, phases)
             worst = max(worst, abs(direct - closed))
         assert worst < 1e-10

@@ -17,7 +17,7 @@ from xxzswap import (
     gate_fidelity,
     state_ensemble_fidelity,
 )
-from xxzswap.fidelity import CHUNK_SAMPLES, _phase_chunk_stats
+from xxzswap.fidelity import CHUNK_SAMPLES, _chunk_stats, _phase_values
 
 PI = math.pi
 
@@ -67,6 +67,8 @@ class TestAnalyticAverage:
         assert average_fidelity_analytic(FluctuationSpec(50, 50, 50)) == pytest.approx(
             7 / 15, abs=1e-6
         )
+        # squares of deviations this large overflow; the average saturates
+        assert average_fidelity_analytic(FluctuationSpec(1e200, 1e200, 1e200)) == 7 / 15
 
     def test_frozen_value(self):
         value = average_fidelity_analytic(FluctuationSpec(1, 1, 0))
@@ -146,7 +148,7 @@ class TestMonteCarloAverage:
         samples = 3 * CHUNK_SAMPLES + 1234
         est = average_fidelity_mc(spec, samples=samples, seed=5)
         indices = list(range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES))
-        stats = {i: _phase_chunk_stats(spec, samples, 5, i) for i in reversed(indices)}
+        stats = {i: _chunk_stats(_phase_values(spec), samples, 5, i) for i in reversed(indices)}
         total = sum(stats[i][0] for i in indices)
         total_sq = sum(stats[i][1] for i in indices)
         mean = total / samples

@@ -15,7 +15,6 @@ from xxzswap import (
     ValidationError,
     make_product_state,
     propagate,
-    purity_determinant,
     reduce_to_qubit,
 )
 
@@ -124,10 +123,10 @@ class TestReduceToQubit:
 
 class TestPurityDeterminant:
     def test_pure_state(self):
-        assert purity_determinant(QubitDensity.from_elements(1.0, 0.0, 0.0)) == 0.0
+        assert QubitDensity.from_elements(1.0, 0.0, 0.0).determinant() == 0.0
 
     def test_maximally_mixed(self):
-        assert purity_determinant(QubitDensity.from_elements(0.5, 0.0, 0.5)) == pytest.approx(0.25)
+        assert QubitDensity.from_elements(0.5, 0.0, 0.5).determinant() == pytest.approx(0.25)
 
     def test_quarter_rotation_of_half_superposition(self):
         # alpha = (1, 1)/sqrt(2), beta = (1, 0) evolved to phi_x = pi/2 gives
@@ -138,7 +137,7 @@ class TestPurityDeterminant:
             evolved = propagate(
                 make_product_state(alpha, beta), PhaseTriple(math.pi / 2, pz, ph)
             )
-            det = purity_determinant(reduce_to_qubit(evolved, 0))
+            det = reduce_to_qubit(evolved, 0).determinant()
             assert det == pytest.approx(0.0625, abs=1e-12)
 
     def test_density_validation(self):
@@ -177,15 +176,15 @@ class TestDeterminantProperties:
         rng = np.random.default_rng(5)
         for _ in range(300):
             state = random_state(rng)
-            di = purity_determinant(reduce_to_qubit(state, 0))
-            dj = purity_determinant(reduce_to_qubit(state, 1))
+            di = reduce_to_qubit(state, 0).determinant()
+            dj = reduce_to_qubit(state, 1).determinant()
             assert abs(di - dj) < 1e-12
 
     def test_range_and_rank_one_criterion(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
             state = random_state(rng)
-            det = purity_determinant(reduce_to_qubit(state, 0))
+            det = reduce_to_qubit(state, 0).determinant()
             assert -1e-15 <= det <= 0.25 + 1e-15
             # det(rho_i) equals |det M|^2 with M the amplitude matrix, so it
             # vanishes exactly for rank-1 (product) states
@@ -202,5 +201,5 @@ class TestDeterminantProperties:
         for _ in range(100):
             state = make_product_state(random_qubit(rng), random_qubit(rng))
             rho = reduce_to_qubit(state, 0)
-            assert purity_determinant(rho) < 1e-10
+            assert rho.determinant() < 1e-10
             assert rho.is_pure()

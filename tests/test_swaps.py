@@ -6,20 +6,28 @@ import math
 import numpy as np
 import pytest
 
+import xxzswap.swaps
 from xxzswap import (
     PhaseTriple,
     PulseSchedule,
+    QubitAmplitudes,
     SwapKind,
     SwapPlan,
     ValidationError,
     XxzParams,
+    accumulate_phases,
     classify_outcome,
     delta_feasibility_scan,
     is_swap_point,
+    make_product_state,
+    propagate,
+    reduce_to_qubit,
     solve_schedule,
     verify_schedule,
     verify_swap,
 )
+from xxzswap.seeding import stream
+from xxzswap.swaps import _random_qubits
 
 PI = math.pi
 
@@ -72,8 +80,26 @@ class TestSolveSchedule:
     def test_plan_validation_rejects_mismatched_params(self):
         with pytest.raises(ValidationError, match="phase conditions"):
             SwapPlan(2, 1, 1.0, XxzParams(PI * 1.01, 3.0, PI), SwapKind.SWAP)
+        # the phase tolerance is relative, and tight at every phase size
+        for m, n, tau in ((2, 1, 1.0), (10**6, -(10**6) + 1, 0.3)):
+            p = solve_schedule(m, n, tau).params
+            off = XxzParams(p.J * (1 + 1e-9), p.Delta, p.Gamma)
+            with pytest.raises(ValidationError, match="phase conditions"):
+                SwapPlan(m, n, tau, off, SwapKind.SWAP)
         with pytest.raises(ValidationError, match="parity"):
             SwapPlan(2, 1, 1.0, XxzParams(PI, 3.0, PI), SwapKind.RETURN_TO_SELF)
+
+    def test_large_indices_accept_their_exact_solution(self):
+        # an absolute tolerance rejected these from |n| ~ 1308 on
+        rng = np.random.default_rng(17)
+        cases = [(1310, 1309, 0.3), (10**6, 10**6 - 1, 1.0), (-(10**6), 10**6, 2e-5)]
+        for _ in range(2000):
+            m, n = (int(v) for v in rng.integers(-(10**6), 10**6, 2, endpoint=True))
+            cases.append((m, n, float(10 ** rng.uniform(-4, 4))))
+        for m, n, tau in cases:
+            if m != n:
+                plan = solve_schedule(np.int64(m), n, tau)
+                assert (plan.m, plan.n) == (m, n)
 
 
 class TestClassifyOutcome:
@@ -123,6 +149,12 @@ class TestVerifySwap:
         assert not report.passed
         assert report.trace_overlap < 1.0 - 1e-6
 
+    def test_tolerance_validated(self):
+        plan = solve_schedule(2, 1, 1.0)
+        for tolerance in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="tolerance"):
+                verify_swap(plan, tolerance=tolerance)
+
     def test_report_is_reproducible(self):
         a = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
         b = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
@@ -136,6 +168,93 @@ class TestVerifySwap:
         schedule = PulseSchedule((Segment(params, 0.3), Segment(params, 0.7)))
         report = verify_schedule(schedule, SwapKind.SWAP)
         assert report.passed
+
+
+def scalar_reference(phases, kind, n_states, seed):
+    """Worst state fidelity and impurity over the verifier's seeded states,
+    evolved one at a time through the public scalar path."""
+    qubits = _random_qubits(stream(seed, 0), 2 * n_states).reshape(n_states, 2, 2)
+    fidelities, impurities = [], []
+    for a, b in qubits:
+        alpha, beta = QubitAmplitudes(*a), QubitAmplitudes(*b)
+        evolved = propagate(make_product_state(alpha, beta), phases)
+        for which, own, partner in ((0, alpha, beta), (1, beta, alpha)):
+            rho = reduce_to_qubit(evolved, which)
+            impurities.append(rho.determinant())
+            fidelities.append(rho.pure_fidelity(partner if kind is SwapKind.SWAP else own))
+    return min(fidelities, default=1.0), max(impurities, default=0.0)
+
+
+def detuned_schedule():
+    plan = solve_schedule(2, 1, 1.0)
+    detuned = XxzParams(plan.params.J * 1.01, plan.params.Delta, plan.params.Gamma)
+    return PulseSchedule.constant(detuned, plan.tau)
+
+
+class TestBatchedVerifier:
+    @pytest.mark.parametrize(
+        "schedule, kind, n_states, seed, passes",
+        [
+            (solve_schedule(2, 1, 1.0).schedule(), SwapKind.SWAP, 50, 7, True),
+            (solve_schedule(-2, 1, 0.7).schedule(), SwapKind.SWAP, 50, 42424242, True),
+            (solve_schedule(3, 1, 1.3).schedule(), SwapKind.RETURN_TO_SELF, 50, 99, True),
+            (detuned_schedule(), SwapKind.SWAP, 50, 3, False),
+            (solve_schedule(2, 1, 1.0).schedule(), SwapKind.SWAP, 0, 7, True),
+        ],
+        ids=["swap", "swap-negative-n", "return-to-self", "detuned", "no-states"],
+    )
+    def test_matches_scalar_reference(self, schedule, kind, n_states, seed, passes):
+        phases = accumulate_phases(schedule, schedule.total_duration)
+        report = verify_schedule(schedule, kind, n_states=n_states, seed=seed)
+        min_fidelity, max_impurity = scalar_reference(phases, kind, n_states, seed)
+        assert abs(report.min_state_fidelity - min_fidelity) <= 1e-14
+        assert abs(report.max_reduced_impurity - max_impurity) <= 1e-14
+        assert report.states_checked == n_states
+        assert report.passed is passes
+        if passes:
+            assert min_fidelity >= 1 - 1e-10
+        else:
+            assert min_fidelity < 1 - 1e-6
+
+    def test_plan_and_schedule_agree(self):
+        plan = solve_schedule(5, -4, 0.7)
+        assert verify_swap(plan, seed=11) == verify_schedule(plan.schedule(), plan.kind, seed=11)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_fails(self, monkeypatch):
+        def with_nan(rng, count):
+            qubits = _random_qubits(rng, count)
+            qubits[3] = np.nan
+            return qubits
+
+        monkeypatch.setattr(xxzswap.swaps, "_random_qubits", with_nan)
+        report = verify_swap(solve_schedule(2, 1, 1.0))
+        assert math.isnan(report.min_state_fidelity)
+        assert math.isnan(report.max_reduced_impurity)
+        assert not report.passed
+
+    def test_random_qubits_draw_order(self):
+        # per qubit: two real parts, then two imaginary parts
+        rng = stream(5, 0)
+        expected = []
+        for _ in range(20):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            expected.append(v / np.linalg.norm(v))
+        np.testing.assert_allclose(_random_qubits(stream(5, 0), 20), expected, rtol=0, atol=1e-15)
+
+    def test_random_qubits_redraws_zero_norm(self):
+        class ZerosFirst:
+            def __init__(self):
+                self.rng = stream(1, 0)
+                self.calls = 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                return np.zeros(shape) if self.calls == 1 else self.rng.standard_normal(shape)
+
+        qubits = _random_qubits(ZerosFirst(), 3)
+        assert np.all(np.isfinite(qubits))
+        np.testing.assert_allclose(np.linalg.norm(qubits, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestOddPairsProperty:
