@@ -210,14 +210,17 @@ def cmd_pseudospin_map(args) -> int:
     levels_i = perturbed_levels(dot_i)
     levels_j = perturbed_levels(dot_j)
     effective = effective_params(dot_i, dot_j, coupling)
+    if (args.m is None) != (args.n is None):
+        raise ValidationError("--m and --n must be given together")
+    # map before printing anything, so a rejected input leaves no partial output
+    result = None
+    if args.m is not None:
+        result = map_to_swap(effective, args.m, args.n, tolerance=args.tolerance)
     _print_fields(levels_i, ("c_plus", "c_minus"), "_i")
     _print_fields(levels_j, ("c_plus", "c_minus"), "_j")
     _print_fields(effective, EFFECTIVE_FIELDS)
-    if args.m is None and args.n is None:
+    if result is None:
         return EXIT_OK
-    if args.m is None or args.n is None:
-        raise ValidationError("--m and --n must be given together")
-    result = map_to_swap(effective, args.m, args.n, tolerance=args.tolerance)
     _print_fields(result, FEASIBILITY_FIELDS)
     print(f"tau = {_fmt(result.tau if result.tau is not None else math.nan)}")
     for failure in result.failures:

@@ -155,10 +155,7 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
                 f"perturbation theory breaks down for spin branch s = {s:+d}: "
                 "zeeman_z * s = hbar_omega0 / 2 makes |0, s> and |1, -s> degenerate"
             )
-        shift = h * h / denom
-        # the second-order shift always carries the sign of its denominator
-        assert shift * denom >= 0.0
-        energies[s] = e_ground + shift
+        energies[s] = e_ground + h * h / denom
         mixings[s] = h / denom
     if max(abs(mixings[+1]), abs(mixings[-1])) > MIXING_WARN_THRESHOLD:
         warnings.warn(

@@ -84,12 +84,19 @@ class McEstimate:
 
 def gate_fidelity(phases: PhaseTriple) -> float:
     """Closed-form swap-gate fidelity at the given accumulated phases."""
-    return float(_fidelity_values(phases.phi_x, phases.phi_z, phases.phi_h))
+    return float(_fidelity_values(_exchange_terms(phases.phi_x), phases.phi_z, phases.phi_h))
 
 
-def _fidelity_values(phi_x: np.ndarray, phi_z: np.ndarray, phi_h: np.ndarray) -> np.ndarray:
+def _exchange_terms(phi_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phi_x-only part of the closed form: (1/5 + (8/15) s^2, (4/15) s)
+    with s = sin(phi_x / 2)."""
     s = np.sin(0.5 * phi_x)
-    return 1 / 5 + (8 / 15) * s * s + (4 / 15) * s * np.sin(0.5 * phi_z + phi_h)
+    return 1 / 5 + (8 / 15) * s * s, (4 / 15) * s
+
+
+def _fidelity_values(exchange, phi_z: np.ndarray, phi_h: np.ndarray) -> np.ndarray:
+    base, slope = exchange
+    return base + slope * np.sin(0.5 * phi_z + phi_h)
 
 
 def average_fidelity_analytic(spec: FluctuationSpec) -> float:
@@ -112,16 +119,21 @@ def average_fidelity_analytic(spec: FluctuationSpec) -> float:
     return 7 / 15 + (4 / 15) * (math.exp(-lx2 / 2) + math.exp(-(lx2 + lz2 + 4 * lh2) / 8))
 
 
-def _phase_values(spec: FluctuationSpec):
-    """Sampler of the closed-form fidelity at Gaussian-fluctuating phases."""
+def _phase_values(mean: PhaseTriple, rows):
+    """Sampler of the closed-form fidelity at Gaussian-fluctuating phases.
 
-    def values(rng: np.random.Generator, n: int) -> np.ndarray:
+    ``rows`` holds ``(lambda_x, lambda_z, lambda_h values)`` triples; one
+    array is yielded per lambda_h of each row, in order, all from the same
+    normals. The phi_x terms are computed once per row.
+    """
+
+    def values(rng: np.random.Generator, n: int):
         z = rng.standard_normal((3, n))
-        return _fidelity_values(
-            spec.mean_phases.phi_x + spec.lambda_x * z[0],
-            spec.mean_phases.phi_z + spec.lambda_z * z[1],
-            spec.mean_phases.phi_h + spec.lambda_h * z[2],
-        )
+        for lam_x, lam_z, lam_hs in rows:
+            exchange = _exchange_terms(mean.phi_x + lam_x * z[0])
+            phi_z = mean.phi_z + lam_z * z[1]
+            for lam_h in lam_hs:
+                yield _fidelity_values(exchange, phi_z, mean.phi_h + lam_h * z[2])
 
     return values
 
@@ -138,7 +150,8 @@ def average_fidelity_mc(
     Bitwise reproducible for fixed (seed, samples) regardless of how the
     fixed-size chunks are scheduled.
     """
-    return _estimate(_phase_values(spec), samples, seed)
+    rows = [(spec.lambda_x, spec.lambda_z, [spec.lambda_h])]
+    return _estimate(_phase_values(spec.mean_phases, rows), samples, seed)[0]
 
 
 def state_ensemble_fidelity(
@@ -168,7 +181,7 @@ def state_ensemble_fidelity(
         )
     overlap_op = SWAP_MATRIX @ propagator_matrix(phases)
 
-    def values(rng: np.random.Generator, n: int) -> np.ndarray:
+    def values(rng: np.random.Generator, n: int):
         u = rng.random((4, n))
         if measure == "haar_product":
             theta = np.arccos(1.0 - 2.0 * u[:2])
@@ -178,9 +191,13 @@ def state_ensemble_fidelity(
         qubits = np.empty((2, n, 2), dtype=complex)
         qubits[..., 0] = np.cos(theta / 2)
         qubits[..., 1] = np.exp(2j * np.pi * u[2:]) * np.sin(theta / 2)
-        return np.abs(_expectation(overlap_op, _product(qubits[0], qubits[1]))) ** 2
+        f = np.abs(_expectation(overlap_op, _product(qubits[0], qubits[1]))) ** 2
+        # free this chunk's temporaries before it is reduced, or each chunk
+        # faults its memory in again
+        del u, theta, qubits
+        yield f
 
-    return _estimate(values, samples, seed)
+    return _estimate(values, samples, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -232,50 +249,58 @@ def fidelity_grid(
             raise ValidationError(f"{name} must be finite and nonnegative")
         if any(b < a for a, b in zip(axis, axis[1:])):
             raise ValidationError(f"{name} must be nondecreasing")
-    rows = []
-    for lam_xz in xz:
-        for lam_h in h:
-            spec = FluctuationSpec(lam_xz, lam_xz, lam_h, mean_phases)
-            estimate = average_fidelity_mc(spec, samples=samples, seed=seed)
-            rows.append(
-                FidelityGridRow(
-                    lambda_x=lam_xz,
-                    lambda_z=lam_xz,
-                    lambda_h=lam_h,
-                    f_analytic=average_fidelity_analytic(spec),
-                    f_mc=estimate.mean,
-                    f_mc_stderr=estimate.std_error,
-                    samples=samples,
-                    seed=seed,
-                )
-            )
-    return rows
+    # the closed form checks the mean before any sample is drawn
+    specs = [FluctuationSpec(lam_xz, lam_xz, lam_h, mean_phases) for lam_xz in xz for lam_h in h]
+    analytic = [average_fidelity_analytic(spec) for spec in specs]
+    # every grid point is evaluated on the same chunk of normals
+    sampler = _phase_values(mean_phases, [(lam_xz, lam_xz, h) for lam_xz in xz])
+    return [
+        FidelityGridRow(
+            lambda_x=spec.lambda_x,
+            lambda_z=spec.lambda_z,
+            lambda_h=spec.lambda_h,
+            f_analytic=f_analytic,
+            f_mc=estimate.mean,
+            f_mc_stderr=estimate.std_error,
+            samples=samples,
+            seed=seed,
+        )
+        for spec, f_analytic, estimate in zip(specs, analytic, _estimate(sampler, samples, seed))
+    ]
 
 
 def _chunk_stats(values, samples: int, seed: int, index: int):
-    """Sum and sum of squares of ``values(rng, n)`` over one sample chunk.
+    """Sum and sum of squares of each array ``values(rng, n)`` yields over
+    one sample chunk.
 
     Chunk contents depend only on (seed, index), so chunks may be evaluated
-    in any order, or in parallel, and reduced by index.
+    in any order, or in parallel, and reduced by index. Each array is
+    reduced as soon as it is yielded.
     """
     n = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
-    f = values(stream(seed, index), n)
-    return float(np.sum(f)), float(np.sum(f * f)), n
+    return [(float(np.sum(f)), float(np.sum(f * f))) for f in values(stream(seed, index), n)]
 
 
-def _estimate(values, samples: int, seed: int) -> McEstimate:
-    """Seeded Monte Carlo mean of ``values`` with its standard error."""
+def _estimate(values, samples: int, seed: int) -> list[McEstimate]:
+    """Seeded Monte Carlo mean, with its standard error, of each array
+    ``values`` yields."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    total = total_sq = 0.0
-    for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
-        s, s2, _ = _chunk_stats(values, samples, seed, index)
-        total += s
-        total_sq += s2
-    mean = total / samples
-    if samples > 1:
-        # sample variance; the max() guards the degenerate all-equal case
-        variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    else:
-        variance = 0.0
-    return McEstimate(mean, math.sqrt(variance / samples), samples, seed)
+    chunks = [
+        _chunk_stats(values, samples, seed, index)
+        for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES)
+    ]
+    estimates = []
+    for per_chunk in zip(*chunks):
+        total = total_sq = 0.0
+        for s, s2 in per_chunk:
+            total += s
+            total_sq += s2
+        mean = total / samples
+        if samples > 1:
+            # sample variance; the max() guards the degenerate all-equal case
+            variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+        else:
+            variance = 0.0
+        estimates.append(McEstimate(mean, math.sqrt(variance / samples), samples, seed))
+    return estimates

@@ -44,6 +44,10 @@ SWAP_MATRIX = np.array(
 PLAN_TOL = 16 * sys.float_info.epsilon
 #: General schedules count as sitting on a swap point within this residual.
 PHASE_MATCH_TOL = 1e-9
+#: Larger phases may miss their target by this much relative to it: the
+#: rounding of phases summed over hundreds of segments, far below any loss
+#: of fidelity the verifier can see.
+PHASE_SUM_TOL = 256 * sys.float_info.epsilon
 
 
 class SwapKind(str, Enum):
@@ -162,14 +166,17 @@ def classify_outcome(m: int, n: int) -> OutcomePrediction:
 
 def is_swap_point(phases: PhaseTriple, tol: float = PHASE_MATCH_TOL) -> bool:
     """True when the phases solve the swap conditions with odd |m - n|:
-    phi_x = d pi (d odd), phi_h = n pi, phi_z = (2n + d) pi."""
+    phi_x = d pi (d odd), phi_h = n pi, phi_z = (2n + d) pi.
+
+    Each residual may reach ``tol``, or ``PHASE_SUM_TOL`` times its target
+    where that is larger.
+    """
     d = round(phases.phi_x / math.pi)
     n = round(phases.phi_h / math.pi)
-    return (
-        d % 2 != 0
-        and abs(phases.phi_x - d * math.pi) <= tol
-        and abs(phases.phi_h - n * math.pi) <= tol
-        and abs(phases.phi_z - (2 * n + d) * math.pi) <= tol
+    targets = (d * math.pi, (2 * n + d) * math.pi, n * math.pi)
+    return d % 2 != 0 and all(
+        abs(p - t) <= max(tol, PHASE_SUM_TOL * abs(t))
+        for p, t in zip(astuple(phases), targets)
     )
 
 

@@ -15,6 +15,34 @@ EXAMPLE_CONFIG = {
     "coupling": {"U": 1.0, "V": 0.5, "t00": 0.05, "t11": 0.05, "t12": 0.02},
 }
 
+# stdout of `pseudospin-map --m 1 --n 0` on EXAMPLE_CONFIG, frozen byte for byte
+EXAMPLE_MAP_1_0 = """\
+c_plus_i = 0.117851130198
+c_minus_i = 0.0505076272276
+c_plus_j = 0.117851130198
+c_minus_j = 0.0505076272276
+omega_i = 0.395238095238
+omega_j = 0.395238095238
+omega = 0.395238095238
+t_plus = 0.0506944444444
+t_minus = 0.0501275510204
+f_plus = 0.00336717514851
+f_minus = 0.00336717514851
+f = 0.00336717514851
+j_eff = 0.0203295068027
+delta_tilde = 0.988170198775
+omega_tilde = 0.39514253477
+m = 1
+n = 0
+feasible = false
+required_delta = 1
+delta_residual = 0.0118298012252
+zeeman_phase_residual = 61.0628135941
+tau = 154.533638424
+failure: anisotropy mismatch: Delta~ = 0.98817 vs required 1 (residual 0.0118298)
+failure: Zeeman phase mismatch: omega~ tau = 61.0628 vs required 0 (residual 61.0628)
+"""
+
 
 def write_config(tmp_path, data):
     path = tmp_path / "device.json"
@@ -212,6 +240,26 @@ class TestPseudospinMap:
         assert code == 0
         assert fields["feasible"] == "false"
         assert float(fields["required_delta"]) == 3.0
+
+    def test_feasibility_stdout_is_frozen(self, tmp_path, capsys):
+        config = write_config(tmp_path, EXAMPLE_CONFIG)
+        assert main(["pseudospin-map", "--config", config, "--m", "1", "--n", "0"]) == 0
+        assert capsys.readouterr().out == EXAMPLE_MAP_1_0
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ["--m", "1", "--n", "0", "--tolerance", "-1"],
+            ["--m", "3", "--n", "1"],  # even |m - n|
+            ["--m", "1"],
+        ],
+    )
+    def test_rejected_mapping_prints_nothing(self, tmp_path, capsys, pair):
+        config = write_config(tmp_path, EXAMPLE_CONFIG)
+        assert main(["pseudospin-map", "--config", config] + pair) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_missing_field_names_the_path(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)

@@ -81,21 +81,22 @@ class TestPerturbedLevels:
 
     @pytest.mark.filterwarnings("ignore:mixing coefficient")
     def test_second_order_shift_sign_follows_denominator(self):
+        # E_s - E0(0, s) = h^2 / denominator on both spin branches; |zeeman_z|
+        # beyond hbar_omega0 / 2 turns a branch's denominator positive
         rng = np.random.default_rng(19)
-        for _ in range(100):
-            zeeman = rng.uniform(-0.45, 0.45)
-            gradient = rng.uniform(0.005, 0.2)
-            if abs(zeeman) + gradient >= 1.0 or min(
-                abs(2 * zeeman - 1.0), abs(2 * zeeman + 1.0)
-            ) < 1e-6:
+        seen = set()
+        for _ in range(200):
+            zeeman = rng.uniform(-0.95, 0.95)
+            gradient = rng.uniform(0.0, 0.99) * (1.0 - abs(zeeman))
+            if min(abs(2 * zeeman - 1.0), abs(2 * zeeman + 1.0)) < 1e-6:
                 continue
-            dot = DotSpec(1.0, zeeman, gradient, gradient)
-            levels = perturbed_levels(dot)
+            levels = perturbed_levels(DotSpec(1.0, zeeman, gradient, gradient))
             for shifted, s in ((levels.e_plus, +1), (levels.e_minus, -1)):
                 unperturbed = 0.5 + zeeman * s
-                denominator = (0.5 + zeeman * s) - (1.5 - zeeman * s)
-                shift = shifted - unperturbed
-                assert shift * denominator >= 0.0
+                denominator = unperturbed - (1.5 - zeeman * s)
+                assert (shifted - unperturbed) * denominator >= 0.0
+                seen.add((s, denominator > 0.0))
+        assert seen == {(+1, True), (+1, False), (-1, True), (-1, False)}
 
     def test_degenerate_denominator_raises(self):
         with pytest.raises(SingularityError, match="degenerate"):

@@ -17,12 +17,38 @@ from xxzswap import (
     gate_fidelity,
     state_ensemble_fidelity,
 )
+import xxzswap.fidelity
 from xxzswap.fidelity import CHUNK_SAMPLES, _chunk_stats, _phase_values
+from xxzswap.seeding import stream
 
 PI = math.pi
 
 # frozen from the closed form 7/15 + (4/15) (e^{-1/2} + e^{-1/4})
 FA_110 = 0.8360883847424102
+
+# one sample, one full chunk, a chunk and one, several chunks and a partial one
+SAMPLE_COUNTS = [1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 1234]
+# the (m, n) = (5, -4) swap point
+MEAN_5_M4 = PhaseTriple(9 * PI, PI, -4 * PI)
+
+
+def reference_mc(spec, samples, seed):
+    """Oracle: one grid point's estimator written out, one chunk stream at a
+    time, in the closed form's own order of operations."""
+    mean = spec.mean_phases
+    total = total_sq = 0.0
+    for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
+        n = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
+        z = stream(seed, index).standard_normal((3, n))
+        s = np.sin(0.5 * (mean.phi_x + spec.lambda_x * z[0]))
+        phi_z = mean.phi_z + spec.lambda_z * z[1]
+        phi_h = mean.phi_h + spec.lambda_h * z[2]
+        f = 1 / 5 + (8 / 15) * s * s + (4 / 15) * s * np.sin(0.5 * phi_z + phi_h)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+    m = total / samples
+    variance = max(total_sq - samples * m * m, 0.0) / (samples - 1) if samples > 1 else 0.0
+    return m, math.sqrt(variance / samples)
 
 
 def analytic(lx, lz, lh):
@@ -147,14 +173,24 @@ class TestMonteCarloAverage:
         spec = FluctuationSpec(0.8, 1.2, 0.4)
         samples = 3 * CHUNK_SAMPLES + 1234
         est = average_fidelity_mc(spec, samples=samples, seed=5)
+        sampler = _phase_values(spec.mean_phases, [(0.8, 1.2, [0.4])])
         indices = list(range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES))
-        stats = {i: _chunk_stats(_phase_values(spec), samples, 5, i) for i in reversed(indices)}
-        total = sum(stats[i][0] for i in indices)
-        total_sq = sum(stats[i][1] for i in indices)
+        stats = {i: _chunk_stats(sampler, samples, 5, i) for i in reversed(indices)}
+        total = total_sq = 0.0
+        for i in indices:
+            [(s, s2)] = stats[i]
+            total += s
+            total_sq += s2
         mean = total / samples
         variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
         assert mean == est.mean
         assert math.sqrt(variance / samples) == est.std_error
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_matches_written_out_estimator_bitwise(self, samples):
+        for spec in (FluctuationSpec(0.8, 1.2, 0.4), FluctuationSpec(2.0, 0.0, 1.5, MEAN_5_M4)):
+            est = average_fidelity_mc(spec, samples=samples, seed=5)
+            assert (est.mean, est.std_error) == reference_mc(spec, samples, 5)
 
     def test_seed_changes_samples(self):
         spec = FluctuationSpec(1, 1, 0)
@@ -251,3 +287,47 @@ class TestFidelityGrid:
             fidelity_grid([-1.0, 0.0], [0.0], samples=1)
         with pytest.raises(ValidationError, match="nondecreasing"):
             fidelity_grid([1.0, 0.5], [0.0], samples=1)
+
+    def test_non_swap_mean_fails_before_drawing(self, monkeypatch):
+        def no_stream(seed, index):
+            raise AssertionError("drew samples for a grid that cannot be reported")
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", no_stream)
+        with pytest.raises(ValidationError, match="swap point"):
+            fidelity_grid([0.5, 1.0], [0.5], samples=10, mean_phases=PhaseTriple(0, 0, 0))
+
+    def test_draws_each_chunk_once_per_grid(self, monkeypatch):
+        opened = []
+
+        def counted_stream(seed, index):
+            opened.append((seed, index))
+            return stream(seed, index)
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", counted_stream)
+        fidelity_grid([0.0, 1.0, 2.0], [0.0, 3.0], samples=2 * CHUNK_SAMPLES + 1, seed=3)
+        assert opened == [(3, 0), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize(
+        "xz, h, mean",
+        [
+            ([0.7], [1.3], SWAP_POINT),
+            ([0.7], [0.0, 0.4, 2.5], SWAP_POINT),
+            ([0.0, 0.4, 2.5], [1.3], SWAP_POINT),
+            ([0.5, 0.5, 1.0], [0.0, 0.0, 2.0], SWAP_POINT),
+            ([0.0], [0.0], SWAP_POINT),
+            ([0.0, 1.5], [0.3, 3.0], MEAN_5_M4),
+        ],
+    )
+    def test_rows_match_pointwise_estimates_bitwise(self, samples, xz, h, mean):
+        # the grid shares each chunk of normals between its points, yet every
+        # row is the estimate a lone call gives at that point
+        rows = fidelity_grid(xz, h, samples=samples, seed=11, mean_phases=mean)
+        assert [(r.lambda_x, r.lambda_h) for r in rows] == [(x, y) for x in xz for y in h]
+        for row in rows:
+            spec = FluctuationSpec(row.lambda_x, row.lambda_z, row.lambda_h, mean)
+            est = average_fidelity_mc(spec, samples=samples, seed=11)
+            assert (row.f_mc, row.f_mc_stderr) == (est.mean, est.std_error)
+            assert (row.f_mc, row.f_mc_stderr) == reference_mc(spec, samples, 11)
+            assert row.f_analytic == average_fidelity_analytic(spec)
+            assert (row.samples, row.seed) == (samples, 11)

@@ -11,6 +11,7 @@ from xxzswap import (
     PhaseTriple,
     PulseSchedule,
     QubitAmplitudes,
+    Segment,
     SwapKind,
     SwapPlan,
     ValidationError,
@@ -163,8 +164,6 @@ class TestVerifySwap:
     def test_multisegment_schedule_hitting_conditions_passes(self):
         # split the (2, 1) solution into two unequal constant stretches
         params = solve_schedule(2, 1, 1.0).params
-        from xxzswap import Segment
-
         schedule = PulseSchedule((Segment(params, 0.3), Segment(params, 0.7)))
         report = verify_schedule(schedule, SwapKind.SWAP)
         assert report.passed
@@ -331,3 +330,29 @@ class TestIsSwapPoint:
         assert not is_swap_point(PhaseTriple(2 * PI, 2 * PI, 0))  # even difference
         assert not is_swap_point(PhaseTriple(PI, 3 * PI, PI + 0.5))
         assert not is_swap_point(PhaseTriple(PI, 3 * PI + 0.5, PI))
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (2, 1),
+            (1000001, 1000000),
+            (-999999, 1000000),
+            (1000000, -999999),
+            (999999, -1000000),
+            (3, -1000000),
+            (-1000000, 999997),
+            (654321, -123456),
+            (1000000, 7),
+        ],
+    )
+    def test_phases_summed_over_segments(self, m, n):
+        # an exact plan split into k equal segments accumulates a few ulp of
+        # rounding on phases of size ~2e6 pi, beyond an absolute 1e-9
+        plan = solve_schedule(m, n, 0.7)
+        for k in (13, 50, 100):
+            schedule = PulseSchedule(tuple(Segment(plan.params, 0.7 / k) for _ in range(k)))
+            phases = accumulate_phases(schedule, schedule.total_duration)
+            assert is_swap_point(phases)
+            assert verify_schedule(schedule, plan.kind).passed
+            # the scaled tolerance still rejects a visible phase error
+            assert not is_swap_point(PhaseTriple(phases.phi_x, phases.phi_z + 1e-5, phases.phi_h))
