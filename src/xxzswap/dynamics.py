@@ -19,7 +19,6 @@ distinguish different integer multiples of pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,10 @@ _SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 _SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+# H = J (_XX_YY + Delta _ZZ) + Gamma _Z_SUM
+_XX_YY = np.kron(_SX, _SX) + np.kron(_SY, _SY)
+_ZZ = np.kron(_SZ, _SZ)
+_Z_SUM = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,13 @@ def eigensystem(params: XxzParams) -> Spectrum:
 def hamiltonian_matrix(params: XxzParams) -> np.ndarray:
     """Dense 4x4 Hamiltonian assembled from Kronecker products of the spin
     operators; used by the matrix-exponential oracle."""
-    J, D, G = params.J, params.Delta, params.Gamma
-    return (
-        J * (np.kron(_SX, _SX) + np.kron(_SY, _SY) + D * np.kron(_SZ, _SZ))
-        + G * (np.kron(_SZ, _I2) + np.kron(_I2, _SZ))
-    )
+    return _hamiltonians(params.J, params.Delta, params.Gamma)
+
+
+def _hamiltonians(J, Delta, Gamma) -> np.ndarray:
+    """:func:`hamiltonian_matrix` on stacked parameters, shape (..., 4, 4)."""
+    J, Delta, Gamma = (np.asarray(v)[..., None, None] for v in (J, Delta, Gamma))
+    return J * (_XX_YY + Delta * _ZZ) + Gamma * _Z_SUM
 
 
 def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
@@ -202,14 +207,20 @@ def propagator_matrix(phases: PhaseTriple) -> np.ndarray:
     phase phi_z/4. Stacked amplitudes ``psi`` of shape (..., 4) evolve as
     ``psi @ propagator_matrix(phases).T``.
     """
-    half = 0.5 * phases.phi_x
-    c, s = math.cos(half), math.sin(half)
-    block_phase = cmath.exp(0.25j * phases.phi_z)
-    U = np.zeros((4, 4), dtype=complex)
-    U[0, 0] = cmath.exp(-1j * (phases.phi_h + 0.25 * phases.phi_z))
-    U[3, 3] = cmath.exp(1j * (phases.phi_h - 0.25 * phases.phi_z))
-    U[1, 1] = U[2, 2] = block_phase * c
-    U[1, 2] = U[2, 1] = block_phase * (-1j * s)
+    return _propagators(phases.phi_x, phases.phi_z, phases.phi_h)
+
+
+def _propagators(phi_x, phi_z, phi_h) -> np.ndarray:
+    """:func:`propagator_matrix` on stacked phases, shape (..., 4, 4)."""
+    phi_x, phi_z, phi_h = np.broadcast_arrays(phi_x, phi_z, phi_h)
+    half = 0.5 * phi_x
+    c, s = np.cos(half), np.sin(half)
+    block_phase = np.exp(0.25j * phi_z)
+    U = np.zeros(phi_x.shape + (4, 4), dtype=complex)
+    U[..., 0, 0] = np.exp(-1j * (phi_h + 0.25 * phi_z))
+    U[..., 3, 3] = np.exp(1j * (phi_h - 0.25 * phi_z))
+    U[..., 1, 1] = U[..., 2, 2] = block_phase * c
+    U[..., 1, 2] = U[..., 2, 1] = block_phase * (-1j * s)
     return U
 
 
@@ -222,9 +233,14 @@ def dense_exponential_oracle(params: XxzParams, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
-    H = hamiltonian_matrix(params)
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
+    return _exponentials(params.J, params.Delta, params.Gamma, t)
+
+
+def _exponentials(J, Delta, Gamma, t) -> np.ndarray:
+    """:func:`dense_exponential_oracle` on stacked parameters and times."""
+    w, V = np.linalg.eigh(_hamiltonians(J, Delta, Gamma))
+    phases = np.exp(-1j * w * np.asarray(t)[..., None])
+    return (V * phases[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def reduced_determinant_closed_form(
@@ -239,10 +255,18 @@ def reduced_determinant_closed_form(
     input exactly when phi_z - phi_x and phi_z + phi_x are both integer
     multiples of 2 pi, which is what makes exact swaps possible.
     """
-    g1 = alpha.a0 * beta.a1 + alpha.a1 * beta.a0
-    g2 = alpha.a0 * beta.a1 - alpha.a1 * beta.a0
-    value = alpha.a0 * alpha.a1 * beta.a0 * beta.a1 - 0.25 * (
-        g1 * g1 * cmath.exp(1j * (phases.phi_z - phases.phi_x))
-        - g2 * g2 * cmath.exp(1j * (phases.phi_z + phases.phi_x))
+    # as a stack of one, so that its complex products round as a stack's do
+    alpha, beta = alpha.as_vector()[None], beta.as_vector()[None]
+    return float(_reduced_determinants(alpha, beta, phases.phi_x, phases.phi_z)[0])
+
+
+def _reduced_determinants(alpha, beta, phi_x, phi_z) -> np.ndarray:
+    """:func:`reduced_determinant_closed_form` on (..., 2) amplitude stacks."""
+    (a0, a1), (b0, b1) = np.moveaxis(alpha, -1, 0), np.moveaxis(beta, -1, 0)
+    g1 = a0 * b1 + a1 * b0
+    g2 = a0 * b1 - a1 * b0
+    value = a0 * a1 * b0 * b1 - 0.25 * (
+        g1 * g1 * np.exp(1j * (phi_z - phi_x))
+        - g2 * g2 * np.exp(1j * (phi_z + phi_x))
     )
-    return abs(value) ** 2
+    return np.abs(value) ** 2

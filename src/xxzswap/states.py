@@ -130,7 +130,7 @@ class QubitDensity:
         1/4 for the maximally mixed state. This is the scalar that certifies
         whether an evolved qubit has disentangled from its partner.
         """
-        return (self.a00 * self.a11 - self.a01 * self.a10).real
+        return float(_determinants(self.as_matrix()[None])[0])  # rounds as in any stack
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
         return self.determinant() < tol
@@ -176,6 +176,11 @@ def _partial_trace(psi: np.ndarray, which: int) -> np.ndarray:
     if which == 1:
         m = np.swapaxes(m, -1, -2)
     return m @ np.swapaxes(m.conj(), -1, -2)
+
+
+def _determinants(rho: np.ndarray) -> np.ndarray:
+    """Purity determinants a00 a11 - a01 a10 of (..., 2, 2) density matrices."""
+    return (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
 
 
 def _expectation(op: np.ndarray, chi: np.ndarray) -> np.ndarray:

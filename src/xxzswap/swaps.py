@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .seeding import DEFAULT_SEED, stream
-from .states import _expectation, _partial_trace, _product
+from .states import _determinants, _expectation, _partial_trace, _product
 
 SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -164,18 +164,18 @@ def classify_outcome(m: int, n: int) -> OutcomePrediction:
     return OutcomePrediction(_kind_for(m, n), 2.0 * math.pi * n)
 
 
-def is_swap_point(phases: PhaseTriple, tol: float = PHASE_MATCH_TOL) -> bool:
+def is_swap_point(phases: PhaseTriple) -> bool:
     """True when the phases solve the swap conditions with odd |m - n|:
     phi_x = d pi (d odd), phi_h = n pi, phi_z = (2n + d) pi.
 
-    Each residual may reach ``tol``, or ``PHASE_SUM_TOL`` times its target
-    where that is larger.
+    Each residual may reach ``PHASE_MATCH_TOL``, or ``PHASE_SUM_TOL`` times
+    its target where that is larger.
     """
     d = round(phases.phi_x / math.pi)
     n = round(phases.phi_h / math.pi)
     targets = (d * math.pi, (2 * n + d) * math.pi, n * math.pi)
     return d % 2 != 0 and all(
-        abs(p - t) <= max(tol, PHASE_SUM_TOL * abs(t))
+        abs(p - t) <= max(PHASE_MATCH_TOL, PHASE_SUM_TOL * abs(t))
         for p, t in zip(astuple(phases), targets)
     )
 
@@ -242,7 +242,7 @@ def _verify_phases(
     # np.min/np.max propagate nan, so a non-finite state fails the check
     fidelity = _expectation(rho, expected[..., None, :]).real
     min_fidelity = float(np.min(fidelity, initial=1.0))
-    max_impurity = float(np.max(np.linalg.det(rho).real, initial=0.0))
+    max_impurity = float(np.max(_determinants(rho), initial=0.0))
 
     passed = trace_overlap >= 1.0 - tolerance and min_fidelity >= 1.0 - tolerance
     return VerificationReport(
@@ -305,6 +305,8 @@ def _check_integer_pair(m, n) -> tuple[int, int]:
     for name, value in (("m", m), ("n", n)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if abs(int(value)) > 2**53:  # floats skip integers beyond 2**53
+            raise ValidationError(f"|{name}| must be at most 2**53")
     if m == n:
         raise ValidationError("m = n leaves the 01/10 block unmixed; no swap solution")
     return int(m), int(n)

@@ -4,10 +4,26 @@ round-trips, and determinism."""
 import csv
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from xxzswap import (
+    PhaseTriple,
+    QubitAmplitudes,
+    XxzParams,
+    dense_exponential_oracle,
+    make_product_state,
+    propagate,
+    propagator_matrix,
+    reduce_to_qubit,
+    reduced_determinant_closed_form,
+)
+from xxzswap import cli
 from xxzswap.cli import main
+from xxzswap.seeding import DEFAULT_SEED, stream
+from xxzswap.swaps import _random_qubits
 
 EXAMPLE_CONFIG = {
     "dot_i": {"hbar_omega0": 1.0, "zeeman_z": 0.2, "gradient_coupling": 0.1, "g_times_b": 0.05},
@@ -85,8 +101,12 @@ class TestSwapSolve:
             ["--seed", str(2**128 + 1)],
             ["--tolerance", "-1"],
             ["--tolerance", "nan"],
+            ["--m", "9" * 400],
         ],
-        ids=["negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance"],
+        ids=[
+            "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance",
+            "m-beyond-float-range",
+        ],
     )
     def test_out_of_range_option_exit_usage(self, option, capsys):
         code = main(["swap-solve", "--m", "2", "--n", "1", "--tau", "1"] + option)
@@ -304,7 +324,12 @@ class TestPseudospinMap:
 
     def test_malformed_json_exit_usage(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        too_long = json.dumps(EXAMPLE_CONFIG).replace("0.05", "1" * 5000, 1)
+        huge = json.dumps(EXAMPLE_CONFIG).replace("0.05", "9" * 400, 1)
+        for text in ("{not json", "[" * 100000, too_long, huge):
+            path.write_text(text)
+            assert main(["pseudospin-map", "--config", str(path)]) == 2
+        path.write_bytes(b"\xff\xfe{")
         assert main(["pseudospin-map", "--config", str(path)]) == 2
 
     def test_missing_file_exit_usage(self, tmp_path):
@@ -317,7 +342,70 @@ def test_missing_command_is_usage_error():
     assert exc.value.code == 2
 
 
+def reference_verify(seed, cases, block):
+    """verify-dynamics written out case by case through the public scalar
+    functions, on the same draws: per propagator case four uniforms, per
+    block of determinant cases its qubits and then its phases."""
+    rng = stream(seed, 0)
+    worst_propagator = 0.0
+    for _ in range(cases):
+        params = XxzParams(*rng.uniform(-3.0, 3.0, 3))
+        t = rng.uniform(1e-3, 5.0)
+        phases = PhaseTriple(params.J * t, params.J * params.Delta * t, params.Gamma * t)
+        deviation = np.max(np.abs(propagator_matrix(phases) - dense_exponential_oracle(params, t)))
+        worst_propagator = max(worst_propagator, float(deviation))
+    worst_determinant = 0.0
+    for start in range(0, 2 * cases, block):
+        count = min(block, 2 * cases - start)
+        qubits = _random_qubits(rng, 2 * count).reshape(count, 2, 2)
+        for (a, b), triple in zip(qubits, rng.uniform(-10.0, 10.0, (count, 3))):
+            alpha, beta, phases = QubitAmplitudes(*a), QubitAmplitudes(*b), PhaseTriple(*triple)
+            evolved = propagate(make_product_state(alpha, beta), phases)
+            direct = reduce_to_qubit(evolved, 0).determinant()
+            closed = reduced_determinant_closed_form(alpha, beta, phases)
+            worst_determinant = max(worst_determinant, abs(direct - closed))
+    return worst_propagator, worst_determinant
+
+
 class TestVerifyDynamics:
+    @pytest.mark.parametrize(
+        "cases, seed, block",
+        [(1, DEFAULT_SEED, 4096), (50, 3, 4096), (300, 11, 4096), (20, 7, 7), (13, 5, 13)],
+        ids=["one-case", "fifty", "three-hundred", "several-blocks", "two-blocks"],
+    )
+    def test_matches_per_case_reference(self, cases, seed, block, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", block)
+        assert main(["verify-dynamics", "--cases", str(cases), "--seed", str(seed)]) == 0
+        fields = parse_fields(capsys.readouterr().out)
+        rng = stream(seed, 0)
+        worst_propagator = cli._worst(cli._propagator_deviations, rng, cases)
+        worst_determinant = cli._worst(cli._determinant_deviations, rng, 2 * cases)
+        reference_propagator, reference_determinant = reference_verify(seed, cases, block)
+        assert worst_propagator == reference_propagator
+        # the stacked complex products may round differently in the last bit
+        assert abs(worst_determinant - reference_determinant) <= 1e-15
+        assert fields["propagator_max_deviation"] == f"{worst_propagator:.12g}"
+        assert fields["determinant_max_deviation"] == f"{worst_determinant:.12g}"
+        assert fields["determinant_cases"] == str(2 * cases)
+
+    def test_blocks_bound_every_batch(self, monkeypatch, capsys):
+        counts = {}
+
+        def counting(deviations):
+            def wrapped(rng, count):
+                counts.setdefault(deviations.__name__, []).append(count)
+                return deviations(rng, count)
+            return wrapped
+
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 8)
+        for name in ("_propagator_deviations", "_determinant_deviations"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        assert main(["verify-dynamics", "--cases", "21"]) == 0
+        assert counts == {
+            "_propagator_deviations": [8, 8, 5],
+            "_determinant_deviations": [8, 8, 8, 8, 8, 2],
+        }
+
     def test_passes_with_default_thresholds(self, capsys):
         code = main(["verify-dynamics", "--cases", "100"])
         fields = parse_fields(capsys.readouterr().out)
@@ -336,8 +424,126 @@ class TestVerifyDynamics:
         assert "passed" not in capsys.readouterr().out
 
     def test_injected_error_fails(self, monkeypatch, capsys):
-        monkeypatch.setenv("XXZSWAP_VERIFY_INJECT_ERROR", "1")
+        monkeypatch.setattr(cli, "ORACLE_THRESHOLD", 0.0)
         code = main(["verify-dynamics", "--cases", "20"])
         fields = parse_fields(capsys.readouterr().out)
         assert code == 3
         assert fields["passed"] == "false"
+
+
+# A seeded argv fuzzer over the five subcommands. Each value is an edge case
+# or, more often, a plain one, so that runs also get past argument parsing.
+# Sizes stay small: a large valid --cases or --samples would only run long.
+EDGE_NUMBERS = (
+    "nan", "-nan", "inf", "-inf", "1e-320", "-1e-320", "1e308", "-1e308", "1e400", "0", "-0",
+    "-1", str(2**64), str(-(10**30)), "9" * 400, "-" + "9" * 400, "1" * 5000,
+    "abc", "", "1e", "0x10", "1_000", " 3 ",
+)
+EDGE_INTEGERS = (
+    str(2**53), str(2**53 + 1), str(-(2**64)), str(10**30), "9" * 400, "-" + "9" * 400,
+    "1" * 5000, "1.5", "1e3", "nan", "inf", "abc", "",
+)
+EDGE_SIZES = ("0", "-1", "-7", str(-(10**30)), "1.5", "nan", "abc", "")
+EDGE_SEEDS = ("-1", str(2**128 - 1), str(2**128), "9" * 400, "1.5", "abc")
+PLAIN = {
+    "number": ("0.7", "1", "2.5", "1e-3", "3"),
+    "integer": ("0", "1", "2", "-1", "-2", "3", "5"),
+    "size": ("1", "2", "3"),
+    "seed": ("0", "1", "99"),
+}
+EDGE = {"number": EDGE_NUMBERS, "integer": EDGE_INTEGERS, "size": EDGE_SIZES, "seed": EDGE_SEEDS}
+
+
+def fuzz_configs(tmp_path):
+    """Device files: the example, each field set to each edge value, broken
+    structure, and text that is not JSON."""
+    texts = [json.dumps(EXAMPLE_CONFIG)]
+    for value in ("NaN", "Infinity", "-Infinity", "1e308", "-1e308", "1e-320", "0", "-1", "1e400",
+                  "9" * 400, "1" * 5000, '"1.0"', "true", "null", "[]", "{}"):
+        for section, fields in EXAMPLE_CONFIG.items():
+            for key in fields:
+                config = json.loads(json.dumps(EXAMPLE_CONFIG))
+                config[section][key] = "@"
+                texts.append(json.dumps(config).replace('"@"', value))
+    texts += [
+        json.dumps({k: v for k, v in EXAMPLE_CONFIG.items() if k != "coupling"}),
+        json.dumps(dict(EXAMPLE_CONFIG, extra={})),
+        json.dumps(dict(EXAMPLE_CONFIG, dot_i=[])),
+        "[]", "3", "null", '"text"', "", "{not json", "[" * 100000, "{" * 100000,
+    ]
+    paths = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"device{k}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    paths += [str(binary), str(tmp_path / "absent.json"), str(tmp_path)]
+    # the example is given as often as all broken files together
+    return [paths[0]] * len(paths) + paths
+
+
+def fuzz_argvs(rng, configs, count):
+    def value(kind):
+        return rng.choice(EDGE[kind] if rng.random() < 0.3 else PLAIN[kind])
+
+    def option(argv, name, kind, p=0.7):
+        if rng.random() < p:
+            argv += [name, value(kind)]
+
+    for _ in range(count):
+        command = rng.choice(
+            ["swap-solve", "delta-scan", "fidelity-sweep", "pseudospin-map", "verify-dynamics"]
+        )
+        argv = [command]
+        if command == "swap-solve":
+            option(argv, "--m", "integer", 0.95)
+            option(argv, "--n", "integer", 0.95)
+            option(argv, "--tau", "number", 0.95)
+            option(argv, "--tolerance", "number", 0.3)
+        elif command == "delta-scan":
+            # each range spans at most three values, from any start
+            for axis in ("m", "n"):
+                start = value("integer")
+                try:
+                    end = str(int(start) + rng.choice((-1, 0, 1, 2)))
+                except ValueError:
+                    end = value("size")
+                argv += [f"--{axis}-min", start, f"--{axis}-max", end]
+            option(argv, "--tau", "number")
+            option(argv, "--tolerance", "number", 0.3)
+            if rng.random() < 0.3:
+                argv += ["--format", rng.choice(("csv", "json", "xml"))]
+        elif command == "fidelity-sweep":
+            option(argv, "--max-xz", "number")
+            option(argv, "--max-h", "number")
+            samples = value("size") + rng.choice(("", "00"))
+            argv += ["--points", value("size"), "--samples", samples]
+        elif command == "pseudospin-map":
+            argv += ["--config", rng.choice(configs)]
+            option(argv, "--m", "integer", 0.5)
+            option(argv, "--n", "integer", 0.5)
+            option(argv, "--tolerance", "number", 0.3)
+        else:
+            argv += ["--cases", value("size") + rng.choice(("", "0"))]
+        if command != "pseudospin-map":
+            option(argv, "--seed", "seed", 0.4)
+        yield argv
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_seeded_argv_fuzz_keeps_exit_contract(tmp_path, capsys):
+    configs = fuzz_configs(tmp_path)
+    seen = set()
+    for argv in fuzz_argvs(random.Random(20260418), configs, 500):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        assert code in (0, 2, 3, 4), argv
+        seen.add(code)
+    capsys.readouterr()
+    # the fuzzer reaches success and usage errors alike
+    assert {0, 2} <= seen

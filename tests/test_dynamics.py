@@ -25,8 +25,20 @@ from xxzswap import (
     reduce_to_qubit,
     reduced_determinant_closed_form,
 )
+from xxzswap.dynamics import (
+    _exponentials,
+    _hamiltonians,
+    _propagators,
+    _reduced_determinants,
+)
+from xxzswap.swaps import _random_qubits
 
 PI = math.pi
+
+SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
 
 
 def random_qubit(rng):
@@ -250,3 +262,86 @@ class TestParamValidation:
             XxzParams(math.inf, 1, 0)
         with pytest.raises(ValidationError):
             PhaseTriple(0, math.nan, 0)
+
+
+# The scalar closed forms as they were written case by case, kept as the
+# references the stacked forms are checked against.
+
+
+def reference_propagator(phi_x, phi_z, phi_h):
+    half = 0.5 * phi_x
+    c, s = math.cos(half), math.sin(half)
+    block_phase = cmath.exp(0.25j * phi_z)
+    U = np.zeros((4, 4), dtype=complex)
+    U[0, 0] = cmath.exp(-1j * (phi_h + 0.25 * phi_z))
+    U[3, 3] = cmath.exp(1j * (phi_h - 0.25 * phi_z))
+    U[1, 1] = U[2, 2] = block_phase * c
+    U[1, 2] = U[2, 1] = block_phase * (-1j * s)
+    return U
+
+
+def reference_oracle(J, D, G, t):
+    H = J * (np.kron(SX, SX) + np.kron(SY, SY) + D * np.kron(SZ, SZ)) + G * (
+        np.kron(SZ, I2) + np.kron(I2, SZ)
+    )
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def reference_determinant(a, b, phi_x, phi_z):
+    a0, a1, b0, b1 = (complex(v) for v in (*a, *b))
+    g1 = a0 * b1 + a1 * b0
+    g2 = a0 * b1 - a1 * b0
+    value = a0 * a1 * b0 * b1 - 0.25 * (
+        g1 * g1 * cmath.exp(1j * (phi_z - phi_x)) - g2 * g2 * cmath.exp(1j * (phi_z + phi_x))
+    )
+    return abs(value) ** 2
+
+
+def phase_cases():
+    """Random phases, exact multiples of pi, and phases up to 1e6 in size."""
+    rng = np.random.default_rng(43)
+    multiples = rng.integers(-12, 13, (200, 3)) * PI
+    large_multiples = rng.integers(-318309, 318310, (200, 3)) * PI
+    large = rng.uniform(-1e6, 1e6, (200, 3))
+    return np.concatenate([rng.uniform(-20, 20, (400, 3)), multiples, large_multiples, large])
+
+
+class TestStackedClosedForms:
+    def test_propagators_equal_scalar_forms(self):
+        phases = phase_cases()
+        stacked = _propagators(*phases.T)
+        assert stacked.shape == (len(phases), 4, 4)
+        for U, triple in zip(stacked, phases):
+            assert np.array_equal(U, propagator_matrix(PhaseTriple(*triple)))
+            assert np.array_equal(U, reference_propagator(*triple))
+
+    def test_propagators_broadcast(self):
+        phi_x = np.array([[0.3], [1.7]])
+        stacked = _propagators(phi_x, np.array([-2.0, 0.5, 4.0]), 0.9)
+        assert stacked.shape == (2, 3, 4, 4)
+        assert np.array_equal(stacked[1, 2], propagator_matrix(PhaseTriple(1.7, 4.0, 0.9)))
+
+    def test_oracles_equal_scalar_forms(self):
+        rng = np.random.default_rng(47)
+        J, D, G = rng.uniform(-3, 3, (3, 1000))
+        t = rng.uniform(0, 5, 1000)
+        stacked = _exponentials(J, D, G, t)
+        hamiltonians = _hamiltonians(J, D, G)
+        for k in range(len(t)):
+            params = XxzParams(J[k], D[k], G[k])
+            assert np.array_equal(hamiltonians[k], hamiltonian_matrix(params))
+            assert np.array_equal(stacked[k], dense_exponential_oracle(params, t[k]))
+            assert np.array_equal(stacked[k], reference_oracle(J[k], D[k], G[k], t[k]))
+
+    def test_reduced_determinants_equal_scalar_forms(self):
+        phases = phase_cases()
+        qubits = _random_qubits(np.random.default_rng(53), 2 * len(phases)).reshape(-1, 2, 2)
+        stacked = _reduced_determinants(qubits[:, 0], qubits[:, 1], phases[:, 0], phases[:, 1])
+        for value, (a, b), triple in zip(stacked, qubits, phases):
+            closed = reduced_determinant_closed_form(
+                QubitAmplitudes(*a), QubitAmplitudes(*b), PhaseTriple(*triple)
+            )
+            assert value == closed
+            # Python complex products round apart from numpy's in the last bit
+            assert abs(value - reference_determinant(a, b, *triple[:2])) <= 4 * np.finfo(float).eps

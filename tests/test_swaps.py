@@ -65,6 +65,11 @@ class TestSolveSchedule:
             solve_schedule(2, 1, -1.0)
         with pytest.raises(ValidationError, match="integer"):
             solve_schedule(2.5, 1, 1.0)
+        # beyond 2**53, and far beyond the float range where (m - n) pi overflows
+        for m, n in ((2**53 + 1, 0), (1, -(2**53) - 1), (10**400, 1), (2, -(10**400))):
+            with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+                solve_schedule(m, n, 1.0)
+        assert solve_schedule(2**53, 2**53 - 1, 1.0).kind is SwapKind.SWAP
 
     def test_conditions_hold_by_construction(self):
         for m in range(-5, 6):
@@ -219,7 +224,6 @@ class TestBatchedVerifier:
         plan = solve_schedule(5, -4, 0.7)
         assert verify_swap(plan, seed=11) == verify_schedule(plan.schedule(), plan.kind, seed=11)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_state_fails(self, monkeypatch):
         def with_nan(rng, count):
             qubits = _random_qubits(rng, count)
