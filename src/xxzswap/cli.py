@@ -26,13 +26,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap, perturbed_levels
+from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
 from .errors import SingularityError, ValidationError
-from .fidelity import GRID_COLUMNS, fidelity_grid
+from .fidelity import FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, stream
 from .states import _determinants, _partial_trace, _product
-from .swaps import _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
+from .swaps import ScanRow, _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,14 +42,13 @@ EXIT_SINGULAR = 4
 #: Environment variable overriding the built-in default seed.
 SEED_ENV_VAR = "XXZSWAP_SEED"
 
-SCAN_COLUMNS = ("m", "n", "delta", "kind", "trace_overlap", "global_phase")
 REPORT_FIELDS = (
     "trace_overlap", "global_phase", "max_entry_deviation", "min_state_fidelity",
     "max_reduced_impurity", "passed",
 )
 EFFECTIVE_FIELDS = (
-    "omega_i", "omega_j", "omega", "t_plus", "t_minus", "f_plus", "f_minus", "f", "j_eff",
-    "delta_tilde", "omega_tilde",
+    "c_plus_i", "c_minus_i", "c_plus_j", "c_minus_j", "omega_i", "omega_j", "omega", "t_plus",
+    "t_minus", "f_plus", "f_minus", "f", "j_eff", "delta_tilde", "omega_tilde",
 )
 FEASIBILITY_FIELDS = (
     "m", "n", "feasible", "required_delta", "delta_residual", "zeeman_phase_residual",
@@ -82,7 +81,9 @@ def _json_value(value):
     return str(value)
 
 
-def _write_table(rows, columns, fmt: str, path: str | None) -> None:
+def _write_table(rows, row_type, fmt: str, path: str | None) -> None:
+    # the header comes from the row type, so an empty table still has one
+    columns = [f.name for f in dataclasses.fields(row_type)]
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(getattr(row, c)) for c in columns) for row in rows)
@@ -100,9 +101,9 @@ def _write_table(rows, columns, fmt: str, path: str | None) -> None:
             raise ValidationError(f"cannot write output {path!r}: {exc}") from None
 
 
-def _print_fields(obj, names, suffix: str = "") -> None:
+def _print_fields(obj, names) -> None:
     for name in names:
-        print(f"{name}{suffix} = {_fmt(getattr(obj, name))}")
+        print(f"{name} = {_fmt(getattr(obj, name))}")
 
 
 def _resolve_seed(args) -> int:
@@ -140,7 +141,7 @@ def cmd_delta_scan(args) -> int:
         tolerance=args.tolerance,
         seed=seed,
     )
-    _write_table(rows, SCAN_COLUMNS, args.format, args.output)
+    _write_table(rows, ScanRow, args.format, args.output)
     return EXIT_OK
 
 
@@ -148,10 +149,12 @@ def cmd_fidelity_sweep(args) -> int:
     seed = _resolve_seed(args)
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
+    if not (math.isfinite(args.max_xz) and math.isfinite(args.max_h)):  # or linspace warns
+        raise ValidationError("--max-xz and --max-h must be finite")
     xz = np.linspace(0.0, args.max_xz, args.points)
     h = np.linspace(0.0, args.max_h, args.points)
     rows = fidelity_grid(xz, h, samples=args.samples, seed=seed)
-    _write_table(rows, GRID_COLUMNS, args.format, args.output)
+    _write_table(rows, FidelityGridRow, args.format, args.output)
     return EXIT_OK
 
 
@@ -201,8 +204,6 @@ def _load_device_config(path: str):
 
 def cmd_pseudospin_map(args) -> int:
     dot_i, dot_j, coupling = _load_device_config(args.config)
-    levels_i = perturbed_levels(dot_i)
-    levels_j = perturbed_levels(dot_j)
     effective = effective_params(dot_i, dot_j, coupling)
     if (args.m is None) != (args.n is None):
         raise ValidationError("--m and --n must be given together")
@@ -210,8 +211,6 @@ def cmd_pseudospin_map(args) -> int:
     result = None
     if args.m is not None:
         result = map_to_swap(effective, args.m, args.n, tolerance=args.tolerance)
-    _print_fields(levels_i, ("c_plus", "c_minus"), "_i")
-    _print_fields(levels_j, ("c_plus", "c_minus"), "_j")
     _print_fields(effective, EFFECTIVE_FIELDS)
     if result is None:
         return EXIT_OK

@@ -19,8 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .dynamics import XxzParams
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, check_finite
 from .swaps import SwapPlan, _check_integer_pair, _check_tolerance, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
@@ -37,11 +36,7 @@ class DotSpec:
     g_times_b: float          # g * mu_B * b, kept for inhomogeneity ratios
 
     def __post_init__(self) -> None:
-        for name in ("hbar_omega0", "zeeman_z", "gradient_coupling", "g_times_b"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        check_finite(self)
         if self.hbar_omega0 <= 0.0:
             raise ValidationError(f"hbar_omega0 must be positive, got {self.hbar_omega0!r}")
         if abs(self.zeeman_z) + abs(self.gradient_coupling) >= self.hbar_omega0:
@@ -94,11 +89,7 @@ class CouplingSpec:
     t12: float  # ground <-> first cross tunneling
 
     def __post_init__(self) -> None:
-        for name in ("U", "V", "t00", "t11", "t12"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        check_finite(self)
         if self.U == self.V:
             raise ValidationError("U and V must differ; the exchange scales as 1/(U - V)")
         if not math.isfinite(self.U - self.V):
@@ -109,13 +100,18 @@ class CouplingSpec:
 class EffectiveParams:
     """Exchange parameters induced between two coupled pseudospin dots.
 
-    The intermediate tunneling combinations are kept so that the defining
-    formulas can be re-evaluated from the stored values at any time.
+    The mixing coefficients of both dots and the intermediate tunneling
+    combinations are kept so that the defining formulas can be re-evaluated
+    from the stored values at any time.
     """
 
     j_eff: float        # effective exchange strength
     delta_tilde: float  # effective anisotropy
     omega_tilde: float  # effective Zeeman splitting
+    c_plus_i: float     # C_{i,+}, the mixing coefficients of the two dots
+    c_minus_i: float
+    c_plus_j: float
+    c_minus_j: float
     t_plus: float
     t_minus: float
     f_plus: float
@@ -124,10 +120,6 @@ class EffectiveParams:
     omega: float        # symmetrized transition frequency used in the formulas
     omega_i: float
     omega_j: float
-
-    def as_xxz(self) -> XxzParams:
-        """The parameters as inputs to :mod:`xxzswap.dynamics`."""
-        return XxzParams(self.j_eff, self.delta_tilde, self.omega_tilde)
 
 
 def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
@@ -231,6 +223,10 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
         j_eff=j_eff,
         delta_tilde=delta_tilde,
         omega_tilde=omega_tilde,
+        c_plus_i=levels_i.c_plus,
+        c_minus_i=levels_i.c_minus,
+        c_plus_j=levels_j.c_plus,
+        c_minus_j=levels_j.c_minus,
         t_plus=t_plus,
         t_minus=t_minus,
         f_plus=f_plus,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 from .states import QubitAmplitudes, TwoQubitPureState
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -48,11 +48,7 @@ class XxzParams:
     Gamma: float  # effective Zeeman splitting g*mu_B*B
 
     def __post_init__(self) -> None:
-        for name in ("J", "Delta", "Gamma"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -114,11 +110,7 @@ class PhaseTriple:
     phi_h: float
 
     def __post_init__(self) -> None:
-        for name in ("phi_x", "phi_z", "phi_h"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        check_finite(self)
 
     def __add__(self, other: "PhaseTriple") -> "PhaseTriple":
         return PhaseTriple(

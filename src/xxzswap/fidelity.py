@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhaseTriple, propagator_matrix
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 from .seeding import DEFAULT_SEED, stream
 from .states import _expectation, _product
 from .swaps import SWAP_MATRIX, is_swap_point
@@ -59,11 +59,11 @@ class FluctuationSpec:
     mean_phases: PhaseTriple = field(default=SWAP_POINT)
 
     def __post_init__(self) -> None:
-        for name in ("lambda_x", "lambda_z", "lambda_h"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        names = ("lambda_x", "lambda_z", "lambda_h")
+        check_finite(self, names)
+        for name in names:
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,6 @@ class FidelityGridRow:
     f_mc_stderr: float
     samples: int
     seed: int
-
-
-GRID_COLUMNS = (
-    "lambda_x",
-    "lambda_z",
-    "lambda_h",
-    "f_analytic",
-    "f_mc",
-    "f_mc_stderr",
-    "samples",
-    "seed",
-)
 
 
 def fidelity_grid(

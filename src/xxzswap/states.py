@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 #: Tolerance on unit norm / hermiticity enforced at construction.
 NORM_TOL = 1e-12
@@ -36,10 +36,9 @@ class QubitAmplitudes:
     a1: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a0", complex(self.a0))
-        object.__setattr__(self, "a1", complex(self.a1))
+        check_finite(self, cast=complex)
         n = _norm_sq(self.a0, self.a1)
-        if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
+        if abs(n - 1.0) > NORM_TOL:
             raise ValidationError(f"qubit amplitudes not normalized: |a|^2 = {n!r}")
 
     @classmethod
@@ -64,10 +63,9 @@ class TwoQubitPureState:
     c11: complex
 
     def __post_init__(self) -> None:
-        for name in ("c00", "c01", "c10", "c11"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        check_finite(self, cast=complex)
         n = _norm_sq(self.c00, self.c01, self.c10, self.c11)
-        if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
+        if abs(n - 1.0) > NORM_TOL:
             raise ValidationError(f"two-qubit amplitudes not normalized: |c|^2 = {n!r}")
 
     @classmethod
@@ -77,14 +75,6 @@ class TwoQubitPureState:
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.c00, self.c01, self.c10, self.c11])
-
-    def amplitude_matrix(self) -> np.ndarray:
-        """2x2 matrix M[r, c] = amplitude of ``|r>_i |c>_j``.
-
-        The state is a product state exactly when M has rank 1, and the
-        reduced density matrix of qubit i is M M^dagger.
-        """
-        return np.array([[self.c00, self.c01], [self.c10, self.c11]])
 
     def overlap(self, other: "TwoQubitPureState") -> complex:
         """Inner product <self|other>."""
@@ -101,8 +91,7 @@ class QubitDensity:
     a11: complex
 
     def __post_init__(self) -> None:
-        for name in ("a00", "a01", "a10", "a11"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        check_finite(self, cast=complex)
         if abs(self.a10 - self.a01.conjugate()) > NORM_TOL:
             raise ValidationError("density matrix not Hermitian: a10 != conj(a01)")
         if abs(self.a00.imag) > NORM_TOL or abs(self.a11.imag) > NORM_TOL:
@@ -131,9 +120,6 @@ class QubitDensity:
         whether an evolved qubit has disentangled from its partner.
         """
         return float(_determinants(self.as_matrix()[None])[0])  # rounds as in any stack
-
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return self.determinant() < tol
 
     def pure_fidelity(self, target: QubitAmplitudes) -> float:
         """Fidelity <chi|rho|chi> against a pure target state chi."""

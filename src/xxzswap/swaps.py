@@ -108,14 +108,6 @@ class SwapPlan:
 
 
 @dataclass(frozen=True)
-class OutcomePrediction:
-    """Parity classification plus the phase carried by the |1> component."""
-
-    kind: SwapKind
-    relative_phase: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Numerical comparison of a schedule's propagator with its ideal target."""
 
@@ -151,17 +143,15 @@ def solve_schedule(m: int, n: int, tau: float) -> SwapPlan:
     return SwapPlan(m, n, tau, params, _kind_for(m, n))
 
 
-def classify_outcome(m: int, n: int) -> OutcomePrediction:
+def classify_outcome(m: int, n: int) -> SwapKind:
     """Parity rule: odd |m - n| hands each qubit its partner's initial state,
     even |m - n| restores its own.
 
     The transferred |1> amplitude carries the phase pi*n + phi_h, which is
-    2 pi n at the designed operating point phi_h = n pi; the returned
-    ``relative_phase`` is that multiple of 2 pi, so no observable relative
-    phase remains.
+    2 pi n at the designed operating point phi_h = n pi, so no observable
+    relative phase remains.
     """
-    m, n = _check_integer_pair(m, n)
-    return OutcomePrediction(_kind_for(m, n), 2.0 * math.pi * n)
+    return _kind_for(*_check_integer_pair(m, n))
 
 
 def is_swap_point(phases: PhaseTriple) -> bool:

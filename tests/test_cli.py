@@ -5,16 +5,19 @@ import csv
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from xxzswap import (
+    DotSpec,
     PhaseTriple,
     QubitAmplitudes,
     XxzParams,
     dense_exponential_oracle,
     make_product_state,
+    perturbed_levels,
     propagate,
     propagator_matrix,
     reduce_to_qubit,
@@ -94,25 +97,35 @@ class TestSwapSolve:
     def test_nonpositive_duration_exit_usage(self, capsys):
         assert main(["swap-solve", "--m", "2", "--n", "1", "--tau", "0"]) == 2
 
+    SOLVE = ["swap-solve", "--m", "2", "--n", "1", "--tau", "1"]
+    SWEEP = ["fidelity-sweep", "--points", "2", "--samples", "10"]
+
     @pytest.mark.parametrize(
-        "option",
+        "argv",
         [
-            ["--seed", "-1"],
-            ["--seed", str(2**128 + 1)],
-            ["--tolerance", "-1"],
-            ["--tolerance", "nan"],
-            ["--m", "9" * 400],
+            SOLVE + ["--seed", "-1"],
+            SOLVE + ["--seed", str(2**128 + 1)],
+            SOLVE + ["--tolerance", "-1"],
+            SOLVE + ["--tolerance", "nan"],
+            SOLVE + ["--m", "9" * 400],
+            SWEEP + ["--max-xz", "inf"],
+            SWEEP + ["--max-xz", "nan"],
+            SWEEP + ["--max-h=-inf"],
+            SWEEP + ["--max-h", "nan"],
         ],
         ids=[
             "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance",
-            "m-beyond-float-range",
+            "m-beyond-float-range", "sweep-inf-max-xz", "sweep-nan-max-xz",
+            "sweep-inf-max-h", "sweep-nan-max-h",
         ],
     )
-    def test_out_of_range_option_exit_usage(self, option, capsys):
-        code = main(["swap-solve", "--m", "2", "--n", "1", "--tau", "1"] + option)
+    def test_out_of_range_option_exit_usage(self, argv, capsys):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
+        # one error line and nothing else: no warning leaks from numpy
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_large_indices_accept_exact_solution(self, capsys):
@@ -280,6 +293,25 @@ class TestPseudospinMap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_strained_device_warns_once_per_dot(self, tmp_path, capsys):
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key, zeeman in (("dot_i", 0.2), ("dot_j", 0.25)):
+            config[key].update(zeeman_z=zeeman, gradient_coupling=0.5, g_times_b=0.5)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "2", "--n", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        strained = [w for w in caught if "mixing coefficient" in str(w.message)]
+        assert len(strained) == 2
+        assert all(w.filename.endswith("dots.py") for w in strained)
+        # the printed mixing coefficients are each dot's own levels
+        fields = parse_fields(capsys.readouterr().out)
+        for key in ("dot_i", "dot_j"):
+            with pytest.warns(UserWarning, match="mixing coefficient"):
+                levels = perturbed_levels(DotSpec(**config[key]))
+            assert fields["c_plus" + key[-2:]] == f"{levels.c_plus:.12g}"
+            assert fields["c_minus" + key[-2:]] == f"{levels.c_minus:.12g}"
 
     def test_missing_field_names_the_path(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)

@@ -195,6 +195,21 @@ class TestEffectiveParams:
             eff.omega * (1 - 2 * eff.f**2 / (gap**2 - eff.omega**2)), abs=1e-12
         )
 
+    def test_stored_mixing_coefficients_reproduce_tunneling_combinations(self):
+        dot_i = DotSpec(1.0, 0.2, 0.1, 0.05)
+        dot_j = DotSpec(1.0, 0.25, 0.08, 0.03)
+        with pytest.warns(UserWarning, match="differ by more than 1%"):
+            eff = effective_params(dot_i, dot_j, EXAMPLE_COUPLING)
+        levels_i, levels_j = perturbed_levels(dot_i), perturbed_levels(dot_j)
+        assert (eff.c_plus_i, eff.c_minus_i) == (levels_i.c_plus, levels_i.c_minus)
+        assert (eff.c_plus_j, eff.c_minus_j) == (levels_j.c_plus, levels_j.c_minus)
+        # the docstring formulas, evaluated on the stored values, bit for bit
+        t00, t11, t12 = EXAMPLE_COUPLING.t00, EXAMPLE_COUPLING.t11, EXAMPLE_COUPLING.t12
+        assert eff.t_plus == t00 + eff.c_plus_i * eff.c_plus_j * t11
+        assert eff.t_minus == t00 + eff.c_minus_i * eff.c_minus_j * t11
+        assert eff.f_plus == (eff.c_plus_i + eff.c_minus_j) * t12
+        assert eff.f_minus == (eff.c_minus_i + eff.c_plus_j) * t12
+
     def test_inhomogeneous_dots_use_ratio_and_warn(self):
         dot_i = DotSpec(1.0, 0.2, 0.1, 0.05)
         dot_j = DotSpec(1.0, 0.3, 0.08, 0.03)
@@ -243,6 +258,10 @@ def make_effective(j_eff, delta_tilde, omega_tilde):
         j_eff=j_eff,
         delta_tilde=delta_tilde,
         omega_tilde=omega_tilde,
+        c_plus_i=0.0,
+        c_minus_i=0.0,
+        c_plus_j=0.0,
+        c_minus_j=0.0,
         t_plus=0.05,
         t_minus=0.05,
         f_plus=0.0,

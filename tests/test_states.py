@@ -140,6 +140,22 @@ class TestPurityDeterminant:
             det = reduce_to_qubit(evolved, 0).determinant()
             assert det == pytest.approx(0.0625, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QubitDensity(math.nan, 0, 0, math.nan),
+            lambda: QubitDensity(1, math.nan, math.nan, 0),
+            lambda: QubitDensity(1, complex(0, math.inf), complex(0, -math.inf), 0),
+            lambda: QubitAmplitudes(math.nan, 1),
+            lambda: TwoQubitPureState(1, 0, 0, complex(math.nan, 0)),
+        ],
+        ids=["nan-diagonal", "nan-coherence", "inf-coherence", "nan-qubit", "nan-pair"],
+    )
+    def test_non_finite_elements_rejected(self, make):
+        # nan fails every comparison, so only an explicit check rejects it
+        with pytest.raises(ValidationError, match="must be finite"):
+            make()
+
     def test_density_validation(self):
         with pytest.raises(ValidationError, match="Hermitian"):
             QubitDensity(0.5, 0.1j, 0.1j, 0.5)
@@ -188,7 +204,7 @@ class TestDeterminantProperties:
             assert -1e-15 <= det <= 0.25 + 1e-15
             # det(rho_i) equals |det M|^2 with M the amplitude matrix, so it
             # vanishes exactly for rank-1 (product) states
-            M = state.amplitude_matrix()
+            M = state.as_vector().reshape(2, 2)
             assert abs(det - abs(np.linalg.det(M)) ** 2) < 1e-12
             smallest_singular = np.linalg.svd(M, compute_uv=False)[1]
             if smallest_singular < 1e-8:
@@ -202,4 +218,3 @@ class TestDeterminantProperties:
             state = make_product_state(random_qubit(rng), random_qubit(rng))
             rho = reduce_to_qubit(state, 0)
             assert rho.determinant() < 1e-10
-            assert rho.is_pure()

@@ -110,14 +110,10 @@ class TestSolveSchedule:
 
 class TestClassifyOutcome:
     def test_odd_pair_swaps(self):
-        outcome = classify_outcome(2, 1)
-        assert outcome.kind is SwapKind.SWAP
-        # the transferred amplitude phase is a full multiple of 2 pi
-        assert outcome.relative_phase == pytest.approx(2 * PI)
-        assert outcome.relative_phase % (2 * PI) == pytest.approx(0.0)
+        assert classify_outcome(2, 1) is SwapKind.SWAP
 
     def test_even_pair_returns(self):
-        assert classify_outcome(3, 1).kind is SwapKind.RETURN_TO_SELF
+        assert classify_outcome(3, 1) is SwapKind.RETURN_TO_SELF
 
     def test_equal_pair_rejected(self):
         with pytest.raises(ValidationError):
@@ -281,7 +277,7 @@ class TestOddPairsProperty:
                 if m == n or (m - n) % 2 != 0:
                     continue
                 plan = solve_schedule(m, n, 1.0)
-                assert classify_outcome(m, n).kind is plan.kind
+                assert classify_outcome(m, n) is plan.kind
                 report = verify_swap(plan, n_states=5)
                 assert report.passed, (m, n)
 
