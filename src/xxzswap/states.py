@@ -20,8 +20,6 @@ from .errors import ValidationError, check_finite
 
 #: Tolerance on unit norm / hermiticity enforced at construction.
 NORM_TOL = 1e-12
-#: Purity threshold, one order looser to absorb evolution round-off.
-PURITY_TOL = 1e-10
 
 
 def _norm_sq(*amps: complex) -> float:

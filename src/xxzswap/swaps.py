@@ -181,10 +181,11 @@ def verify_swap(
     Compares the plan's propagator with SWAP (identity for return-to-self
     plans) up to a global phase, then evolves ``n_states`` random product
     states, drawn from ``stream(seed, 0)``, as one batch and checks that
-    each qubit's reduced state is pure and lands on the expected
-    single-qubit target with fidelity >= 1 - tolerance. A non-finite
-    fidelity fails. Failure is reported, not raised; a negative or
-    non-finite tolerance raises.
+    each qubit's reduced state lands on the expected single-qubit target
+    with fidelity >= 1 - tolerance. A non-finite fidelity fails. The largest
+    purity determinant is reported, not checked: det(rho) <= 1 - <chi|rho|chi>
+    for any pure target chi, so the fidelity check already bounds it. Failure
+    is reported, not raised; a negative or non-finite tolerance raises.
     """
     return _verify_phases(plan.phases(), plan.kind, tolerance, n_states, seed)
 

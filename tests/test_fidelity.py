@@ -9,17 +9,27 @@ import pytest
 from xxzswap import (
     FluctuationSpec,
     PhaseTriple,
+    SWAP_MATRIX,
     SWAP_POINT,
     ValidationError,
     average_fidelity_analytic,
     average_fidelity_mc,
     fidelity_grid,
     gate_fidelity,
+    is_swap_point,
+    propagator_matrix,
     state_ensemble_fidelity,
 )
 import xxzswap.fidelity
-from xxzswap.fidelity import CHUNK_SAMPLES, _chunk_stats, _phase_values
+from xxzswap.fidelity import (
+    CHUNK_SAMPLES,
+    ENSEMBLE_MEASURES,
+    _chunk_stats,
+    _ensemble_values,
+    _phase_values,
+)
 from xxzswap.seeding import stream
+from xxzswap.states import _expectation, _product
 
 PI = math.pi
 
@@ -203,6 +213,52 @@ class TestMonteCarloAverage:
             average_fidelity_mc(FluctuationSpec(1, 1, 1), samples=0)
 
 
+# second moments [[E x^2, E xy], [E xy, E y^2]] of x = cos^2(theta/2), y = 1 - x
+ENSEMBLE_MOMENTS = {
+    "haar_product": np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]),
+    "uniform_angles": np.array([[3 / 8, 1 / 8], [1 / 8, 3 / 8]]),
+}
+
+
+def ensemble_average(phases, measure):
+    """Oracle: the exact ensemble average of |<psi|W|psi>|^2, W = SWAP U.
+
+    The overlap is sum_ij M_ij va_i vb_j + 2 W12 sqrt(xa ya xb yb) c with
+    v = (x, y), M = [[W00, W11], [W11, W33]] and c = cos(phi_a - phi_b).
+    Independent qubits and E[c] = 0, E[c^2] = 1/2 leave
+    sum M_ij conj(M_kl) S_ik S_jl + 2 |W12|^2 S_01^2.
+    """
+    w = SWAP_MATRIX @ propagator_matrix(phases)
+    m = np.array([[w[0, 0], w[1, 1]], [w[1, 1], w[3, 3]]])
+    s = ENSEMBLE_MOMENTS[measure]
+    polar = np.einsum("ij,kl,ik,jl->", m, m.conj(), s, s).real
+    return float(polar + 2 * abs(w[1, 2]) ** 2 * s[0, 1] ** 2)
+
+
+def reference_ensemble_values(phases, measure, u):
+    """Oracle: the overlap fidelity of the product states that ``u`` encodes,
+    through the 4x4 operator and the stacked state helpers."""
+    theta = np.arccos(1 - 2 * u[:2]) if measure == "haar_product" else np.pi * u[:2]
+    qubits = np.empty((2, u.shape[1], 2), dtype=complex)
+    qubits[..., 0] = np.cos(theta / 2)
+    qubits[..., 1] = np.exp(2j * np.pi * u[2:]) * np.sin(theta / 2)
+    op = SWAP_MATRIX @ propagator_matrix(phases)
+    return np.abs(_expectation(op, _product(qubits[0], qubits[1]))) ** 2
+
+
+class RecordedDraws:
+    """Stands in for a generator: records the size of each ``random`` call
+    and hands it on to ``source``."""
+
+    def __init__(self, source, sizes):
+        self.source = source
+        self.sizes = sizes
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.source(size)
+
+
 class TestStateEnsemble:
     def test_swap_point_is_unity_for_every_state(self):
         est = state_ensemble_fidelity(SWAP_POINT, "haar_product", samples=20_000)
@@ -238,8 +294,49 @@ class TestStateEnsemble:
 
     def test_uniform_angles_measure_differs(self):
         est = state_ensemble_fidelity(PhaseTriple(0, 0, 0), "uniform_angles", samples=200_000)
-        # same qualitative picture under the alternative measure
+        # same qualitative picture under the alternative measure, at 11/32
         assert est.mean - 0.2 > 5 * est.std_error
+        assert abs(est.mean - 11 / 32) <= 4 * est.std_error
+
+    def test_closed_form_average_at_identity(self):
+        identity = PhaseTriple(0, 0, 0)
+        assert ensemble_average(identity, "haar_product") == pytest.approx(1 / 3, abs=1e-15)
+        assert ensemble_average(identity, "uniform_angles") == pytest.approx(11 / 32, abs=1e-15)
+
+    @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_agrees_with_closed_form_average(self, measure, seed):
+        # off-swap phases drawn as the benchmark draws them
+        rng = np.random.default_rng(seed)
+        phases = PhaseTriple(rng.uniform(0.3, 2.8), rng.uniform(-6, 6), rng.uniform(-3, 3))
+        assert not is_swap_point(phases)
+        est = state_ensemble_fidelity(phases, measure, samples=200_000, seed=seed)
+        assert abs(est.mean - ensemble_average(phases, measure)) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
+    def test_matches_4x4_reference_per_sample(self, measure):
+        rng = np.random.default_rng(17)
+        n = 4000
+        u = rng.random((4, n))
+        # polar draws at and within 1e-9 of both poles
+        poles = [0.0, 1e-12, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0 - 2**-53]
+        u[0, : len(poles)] = poles
+        u[1, : len(poles)] = poles[::-1]
+        u[:2, len(poles) : 2 * len(poles)] = poles
+        for _ in range(5):
+            phases = PhaseTriple(*rng.uniform(-10, 10, 3))
+            sizes = []
+            [f] = _ensemble_values(phases, measure)(RecordedDraws(lambda size: u, sizes), n)
+            assert sizes == [(4, n)]
+            assert np.max(np.abs(f - reference_ensemble_values(phases, measure, u))) <= 1e-14
+
+    def test_draws_one_block_per_chunk(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            xxzswap.fidelity, "stream", lambda s, i: RecordedDraws(stream(s, i).random, sizes)
+        )
+        state_ensemble_fidelity(SWAP_POINT, "uniform_angles", samples=2 * CHUNK_SAMPLES + 1)
+        assert sizes == [(4, CHUNK_SAMPLES), (4, CHUNK_SAMPLES), (4, 1)]
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValidationError, match="unknown measure"):

@@ -216,6 +216,17 @@ class TestBatchedVerifier:
         else:
             assert min_fidelity < 1 - 1e-6
 
+    @pytest.mark.parametrize("scale", [1.001, 1.01, 1.1, 1.5, 0.7])
+    def test_fidelity_bounds_reported_impurity(self, scale):
+        # det(rho) = l (1 - l) <= l_min <= 1 - <chi|rho|chi> for the reduced
+        # eigenvalues l, so passing the fidelity check bounds the impurity
+        plan = solve_schedule(2, 1, 1.0)
+        detuned = XxzParams(plan.params.J * scale, plan.params.Delta, plan.params.Gamma * scale)
+        report = verify_schedule(PulseSchedule.constant(detuned, plan.tau), SwapKind.SWAP)
+        assert not report.passed
+        assert report.max_reduced_impurity > 1e-8
+        assert report.max_reduced_impurity <= 1 - report.min_state_fidelity + 1e-15
+
     def test_plan_and_schedule_agree(self):
         plan = solve_schedule(5, -4, 0.7)
         assert verify_swap(plan, seed=11) == verify_schedule(plan.schedule(), plan.kind, seed=11)
