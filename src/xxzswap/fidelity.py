@@ -7,14 +7,16 @@ The closed-form fidelity of the evolved gate against the ideal swap is
 
 which equals 1 exactly on the swap conditions and never falls below 1/6 (the
 minimum sits at |sin(phi_x / 2)| = 1/4). Averaging F over independent
-Gaussian phases centered on any swap point gives
+Gaussian phases with means (mx, mz, mh) gives
 
-    F_avg = 7/15 + (4/15) [exp(-lx^2 / 2) + exp(-(lx^2 + lz^2 + 4 lh^2) / 8)],
+    F_avg = 7/15 + (4/15) [-cos(mx) exp(-lx^2 / 2)
+                           + sin(mx / 2) sin(mz / 2 + mh) exp(-(lx^2 + lz^2 + 4 lh^2) / 8)],
 
-with limit 7/15 as the deviations grow. A seeded Monte Carlo estimator
-cross-checks the average, and a product-state ensemble estimator probes the
-state-averaging measure behind the closed form (the two do not agree away
-from swap points; see ``state_ensemble_fidelity``).
+since E[exp(ia)] = exp(im - l^2 / 2) for a ~ N(m, l^2). On a swap point both
+trigonometric factors are 1; the limit is 7/15 as the deviations grow. A
+seeded Monte Carlo estimator cross-checks the average, and a product-state
+ensemble estimator probes the state-averaging measure behind the closed form
+(the two do not agree away from swap points; see ``state_ensemble_fidelity``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .dynamics import PhaseTriple, propagator_matrix
 from .errors import ValidationError, check_finite
 from .seeding import DEFAULT_SEED, stream
-from .swaps import SWAP_MATRIX, is_swap_point
+from .swaps import SWAP_MATRIX
 
 #: Swap-point phases used as the default fluctuation mean: the (m, n) = (2, 1)
 #: solution (anisotropy 3).
@@ -47,9 +49,7 @@ ENSEMBLE_MEASURES = ("haar_product", "uniform_angles")
 class FluctuationSpec:
     """Standard deviations of independent Gaussian phase fluctuations.
 
-    The mean defaults to the (m, n) = (2, 1) swap point; the closed-form
-    average requires the mean to sit on some swap point, the Monte Carlo
-    estimator does not.
+    The mean defaults to the (m, n) = (2, 1) swap point.
     """
 
     lambda_x: float
@@ -99,23 +99,19 @@ def _fidelity_values(exchange, phi_z: np.ndarray, phi_h: np.ndarray) -> np.ndarr
 
 
 def average_fidelity_analytic(spec: FluctuationSpec) -> float:
-    """Gaussian-averaged gate fidelity around a swap point, in closed form.
-
-    Only valid when the mean phases solve the swap conditions (the closed
-    form needs the mean sines at their extrema); other means raise, use
-    :func:`average_fidelity_mc` for them.
-    """
-    if not is_swap_point(spec.mean_phases):
-        raise ValidationError(
-            "mean phases must sit on a swap point (phi_x = d*pi with d odd, "
-            "phi_h = n*pi, phi_z = (2n + d)*pi); the closed-form average only "
-            "holds there"
-        )
+    """Gaussian-averaged gate fidelity at any mean phases, in closed form."""
     # products saturate to inf where ** would raise OverflowError
     lx2 = spec.lambda_x * spec.lambda_x
     lz2 = spec.lambda_z * spec.lambda_z
     lh2 = spec.lambda_h * spec.lambda_h
-    return 7 / 15 + (4 / 15) * (math.exp(-lx2 / 2) + math.exp(-(lx2 + lz2 + 4 * lh2) / 8))
+    mean = spec.mean_phases
+    # on a swap point -cos and the sine product are exactly 1.0
+    return 7 / 15 + (4 / 15) * (
+        -math.cos(mean.phi_x) * math.exp(-lx2 / 2)
+        + math.sin(mean.phi_x / 2)
+        * math.sin(mean.phi_z / 2 + mean.phi_h)
+        * math.exp(-(lx2 + lz2 + 4 * lh2) / 8)
+    )
 
 
 def _phase_values(mean: PhaseTriple, rows):
@@ -259,9 +255,7 @@ def fidelity_grid(
             raise ValidationError(f"{name} must be finite and nonnegative")
         if any(b < a for a, b in zip(axis, axis[1:])):
             raise ValidationError(f"{name} must be nondecreasing")
-    # the closed form checks the mean before any sample is drawn
     specs = [FluctuationSpec(lam_xz, lam_xz, lam_h, mean_phases) for lam_xz in xz for lam_h in h]
-    analytic = [average_fidelity_analytic(spec) for spec in specs]
     # every grid point is evaluated on the same chunk of normals
     sampler = _phase_values(mean_phases, [(lam_xz, lam_xz, h) for lam_xz in xz])
     return [
@@ -269,13 +263,13 @@ def fidelity_grid(
             lambda_x=spec.lambda_x,
             lambda_z=spec.lambda_z,
             lambda_h=spec.lambda_h,
-            f_analytic=f_analytic,
+            f_analytic=average_fidelity_analytic(spec),
             f_mc=estimate.mean,
             f_mc_stderr=estimate.std_error,
             samples=samples,
             seed=seed,
         )
-        for spec, f_analytic, estimate in zip(specs, analytic, _estimate(sampler, samples, seed))
+        for spec, estimate in zip(specs, _estimate(sampler, samples, seed))
     ]
 
 

@@ -2,6 +2,7 @@
 round-trips, and determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from xxzswap import (
     reduce_to_qubit,
     reduced_determinant_closed_form,
 )
+import xxzswap.swaps
 from xxzswap import cli
 from xxzswap.cli import main
 from xxzswap.seeding import DEFAULT_SEED, stream
@@ -33,6 +35,10 @@ EXAMPLE_CONFIG = {
     "dot_j": {"hbar_omega0": 1.0, "zeeman_z": 0.2, "gradient_coupling": 0.1, "g_times_b": 0.05},
     "coupling": {"U": 1.0, "V": 0.5, "t00": 0.05, "t11": 0.05, "t12": 0.02},
 }
+
+# SHA-256 of the README `delta-scan` table (stdout over [-3, 3]^2), frozen
+# before the scan stopped drawing verification states
+README_SCAN_SHA256 = "6fa65e8d975dc12e001623ea5e8def0bda244e49fbe5b261d7c6b5cba6013f9b"
 
 # stdout of `pseudospin-map --m 1 --n 0` on EXAMPLE_CONFIG, frozen byte for byte
 EXAMPLE_MAP_1_0 = """\
@@ -166,6 +172,27 @@ class TestDeltaScan:
                      "--n-max", "1", "--output", target])
         assert code == 2
         assert "cannot write output" in capsys.readouterr().err
+
+    def test_readme_stdout_is_frozen(self, capsys):
+        assert main(["delta-scan", "--m-min", "-3", "--m-max", "3", "--n-min", "-3",
+                     "--n-max", "3"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == README_SCAN_SHA256
+
+    def test_scan_opens_no_stream(self, monkeypatch, capsys):
+        def no_stream(seed, index):
+            raise AssertionError("delta-scan opened a random stream")
+
+        monkeypatch.setattr(xxzswap.swaps, "stream", no_stream)
+        assert main(["delta-scan", "--m-min", "-4", "--m-max", "4", "--n-min", "-4",
+                     "--n-max", "4", "--seed", "7"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 9 - 9
+
+    def test_bad_seed_still_exit_usage(self, monkeypatch, capsys):
+        assert main(["delta-scan", "--seed", "-1"]) == 2
+        monkeypatch.setenv("XXZSWAP_SEED", "not-a-number")
+        assert main(["delta-scan"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_contains_low_anisotropy_outcome(self, capsys):
         assert main(["delta-scan"]) == 0
@@ -543,7 +570,6 @@ def fuzz_argvs(rng, configs, count):
                     end = value("size")
                 argv += [f"--{axis}-min", start, f"--{axis}-max", end]
             option(argv, "--tau", "number")
-            option(argv, "--tolerance", "number", 0.3)
             if rng.random() < 0.3:
                 argv += ["--format", rng.choice(("csv", "json", "xml"))]
         elif command == "fidelity-sweep":

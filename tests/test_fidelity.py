@@ -122,6 +122,11 @@ class TestAnalyticAverage:
             ((2.0, 1.0, 3.0), SWAP_POINT),
             ((1.0, 0.8, 0.6), PhaseTriple(PI, PI, 0.0)),          # (m, n) = (1, 0)
             ((1.0, 0.8, 0.6), PhaseTriple(-3 * PI, -PI, PI)),     # (m, n) = (-2, 1)
+            # off the swap points
+            ((1.0, 0.8, 0.6), PhaseTriple(0.0, 0.0, 0.0)),
+            ((0.5, 1.5, 0.2), PhaseTriple(0.7, -1.3, 2.1)),
+            ((2.0, 0.4, 1.1), PhaseTriple(PI, 3 * PI, PI + 0.3)),
+            ((0.3, 0.3, 0.3), PhaseTriple(2.5, 5.0, -0.4)),
         ]
         for (lx, lz, lh), mean in cases:
             X = mean.phi_x + lx * nodes[:, None, None]
@@ -133,13 +138,21 @@ class TestAnalyticAverage:
             spec = FluctuationSpec(lx, lz, lh, mean)
             assert average_fidelity_analytic(spec) == pytest.approx(quad, abs=1e-12)
 
-    def test_rejects_non_swap_means(self):
-        with pytest.raises(ValidationError, match="swap point"):
-            average_fidelity_analytic(FluctuationSpec(1, 1, 1, PhaseTriple(0, 0, 0)))
-        with pytest.raises(ValidationError, match="swap point"):
-            average_fidelity_analytic(
-                FluctuationSpec(1, 1, 1, PhaseTriple(PI, 3 * PI, PI + 0.3))
-            )
+    @pytest.mark.parametrize(
+        "lambdas, mean, seed",
+        [
+            ((1.0, 1.0, 1.0), PhaseTriple(0.0, 0.0, 0.0), 1),
+            ((1.0, 1.0, 1.0), PhaseTriple(PI, 3 * PI, PI + 0.3), 2),
+            ((0.4, 0.9, 0.2), PhaseTriple(1.9, -2.2, 0.5), 3),
+            ((2.5, 0.1, 0.6), PhaseTriple(-0.8, 4.0, -1.7), 4),
+        ],
+        ids=["zero-mean", "zeeman-detuned", "mid-phases", "wide-exchange"],
+    )
+    def test_matches_monte_carlo_off_swap_points(self, lambdas, mean, seed):
+        assert not is_swap_point(mean)
+        spec = FluctuationSpec(*lambdas, mean)
+        est = average_fidelity_mc(spec, samples=400_000, seed=seed)
+        assert abs(est.mean - average_fidelity_analytic(spec)) <= 4 * est.std_error
 
     def test_monotone_nonincreasing_in_each_deviation(self):
         grid = np.linspace(0, 4, 9)
@@ -385,13 +398,13 @@ class TestFidelityGrid:
         with pytest.raises(ValidationError, match="nondecreasing"):
             fidelity_grid([1.0, 0.5], [0.0], samples=1)
 
-    def test_non_swap_mean_fails_before_drawing(self, monkeypatch):
-        def no_stream(seed, index):
-            raise AssertionError("drew samples for a grid that cannot be reported")
-
-        monkeypatch.setattr(xxzswap.fidelity, "stream", no_stream)
-        with pytest.raises(ValidationError, match="swap point"):
-            fidelity_grid([0.5, 1.0], [0.5], samples=10, mean_phases=PhaseTriple(0, 0, 0))
+    def test_non_swap_mean_rows_carry_their_closed_form(self):
+        mean = PhaseTriple(0.7, -1.3, 2.1)
+        rows = fidelity_grid([0.0, 0.5, 1.0], [0.0, 0.5], samples=10, mean_phases=mean)
+        assert len(rows) == 6
+        for row in rows:
+            spec = FluctuationSpec(row.lambda_x, row.lambda_z, row.lambda_h, mean)
+            assert row.f_analytic == average_fidelity_analytic(spec)
 
     def test_draws_each_chunk_once_per_grid(self, monkeypatch):
         opened = []

@@ -295,7 +295,7 @@ class TestOddPairsProperty:
 
 @pytest.fixture(scope="module")
 def scan():
-    return delta_feasibility_scan(range(-3, 4), range(-3, 4), n_states=5)
+    return delta_feasibility_scan(range(-3, 4), range(-3, 4))
 
 
 class TestFeasibilityScan:
@@ -328,6 +328,21 @@ class TestFeasibilityScan:
     def test_empty_range_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):
             delta_feasibility_scan([], range(3))
+
+    @pytest.mark.parametrize("tau", [1.0, 0.83, 1.7])
+    def test_rows_match_verify_swap_bitwise_without_drawing(self, tau, monkeypatch):
+        def no_stream(seed, index):
+            raise AssertionError("the scan opened a random stream")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(xxzswap.swaps, "stream", no_stream)
+            rows = delta_feasibility_scan(range(-4, 5), range(-4, 5), tau)
+        assert len(rows) == 9 * 9 - 9
+        for row in rows:
+            report = verify_swap(solve_schedule(row.m, row.n, tau))
+            assert (row.trace_overlap, row.global_phase) == (
+                report.trace_overlap, report.global_phase
+            ), (row.m, row.n)
 
 
 class TestIsSwapPoint:
