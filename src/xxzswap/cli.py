@@ -46,10 +46,6 @@ REPORT_FIELDS = (
     "trace_overlap", "global_phase", "max_entry_deviation", "min_state_fidelity",
     "max_reduced_impurity", "passed",
 )
-EFFECTIVE_FIELDS = (
-    "c_plus_i", "c_minus_i", "c_plus_j", "c_minus_j", "omega_i", "omega_j", "omega", "t_plus",
-    "t_minus", "f_plus", "f_minus", "f", "j_eff", "delta_tilde", "omega_tilde",
-)
 FEASIBILITY_FIELDS = (
     "m", "n", "feasible", "required_delta", "delta_residual", "zeeman_phase_residual",
 )
@@ -207,7 +203,7 @@ def cmd_pseudospin_map(args) -> int:
     result = None
     if args.m is not None:
         result = map_to_swap(effective, args.m, args.n, tolerance=args.tolerance)
-    _print_fields(effective, EFFECTIVE_FIELDS)
+    _print_fields(effective, [f.name for f in dataclasses.fields(effective)])
     if result is None:
         return EXIT_OK
     _print_fields(result, FEASIBILITY_FIELDS)

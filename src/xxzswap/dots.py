@@ -105,21 +105,21 @@ class EffectiveParams:
     from the stored values at any time.
     """
 
-    j_eff: float        # effective exchange strength
-    delta_tilde: float  # effective anisotropy
-    omega_tilde: float  # effective Zeeman splitting
     c_plus_i: float     # C_{i,+}, the mixing coefficients of the two dots
     c_minus_i: float
     c_plus_j: float
     c_minus_j: float
+    omega_i: float
+    omega_j: float
+    omega: float        # symmetrized transition frequency used in the formulas
     t_plus: float
     t_minus: float
     f_plus: float
     f_minus: float
     f: float
-    omega: float        # symmetrized transition frequency used in the formulas
-    omega_i: float
-    omega_j: float
+    j_eff: float        # effective exchange strength
+    delta_tilde: float  # effective anisotropy
+    omega_tilde: float  # effective Zeeman splitting
 
 
 def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
@@ -263,9 +263,10 @@ def map_to_swap(
 ) -> SwapFeasibility:
     """Check whether effective parameters admit the (m, n) swap.
 
-    The exchange fixes tau = (m - n) pi / J_eff; feasibility then requires
-    the effective anisotropy to equal (m + n) / (m - n) and the accumulated
-    Zeeman phase omega~ tau to equal n pi, both within ``tolerance``. The
+    The exchange fixes tau = (m - n) pi / J_eff, which must be positive and
+    finite; feasibility then requires the effective anisotropy to equal
+    (m + n) / (m - n) and the accumulated Zeeman phase omega~ tau to equal
+    n pi, both within ``tolerance`` (a nan residual fails). The
     returned plan, when feasible, is the exact requirement at that duration;
     the residuals quantify how far the device parameters sit from it.
     """
@@ -286,11 +287,13 @@ def map_to_swap(
                 f"duration (m - n) pi / J_eff = {candidate:.6g} is not positive; "
                 "flip the sign of m - n"
             )
+        elif not math.isfinite(candidate):
+            failures.append(f"duration (m - n) pi / J_eff = {candidate:.6g} overflows")
         else:
             tau = candidate
 
     delta_residual = abs(effective.delta_tilde - required_delta)
-    if delta_residual > tolerance:
+    if not delta_residual <= tolerance:  # a nan residual fails
         failures.append(
             f"anisotropy mismatch: Delta~ = {effective.delta_tilde:.6g} vs required "
             f"{required_delta:.6g} (residual {delta_residual:.6g})"
@@ -300,14 +303,14 @@ def map_to_swap(
         zeeman_phase_residual = math.nan
     else:
         zeeman_phase_residual = abs(effective.omega_tilde * tau - n * math.pi)
-        if zeeman_phase_residual > tolerance:
+        if not zeeman_phase_residual <= tolerance:
             failures.append(
                 f"Zeeman phase mismatch: omega~ tau = {effective.omega_tilde * tau:.6g} "
                 f"vs required {n * math.pi:.6g} (residual {zeeman_phase_residual:.6g})"
             )
 
     feasible = not failures
-    plan = solve_schedule(m, n, tau) if feasible and tau is not None else None
+    plan = solve_schedule(m, n, tau) if feasible else None
     return SwapFeasibility(
         m=m,
         n=n,

@@ -381,6 +381,19 @@ class TestPseudospinMap:
         assert code == 2
         assert "U - V must be finite" in capsys.readouterr().err
 
+    def test_overflowing_duration_is_infeasible(self, tmp_path, capsys):
+        # J_eff = 4 t00^2 / (U - V) ~ 1.3e-320, so tau = pi / J_eff overflows
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in ("dot_i", "dot_j"):
+            config[key].update(zeeman_z=0.0, gradient_coupling=0.0, g_times_b=0.0)
+        config["coupling"] = {"U": 3.0, "V": 0.0, "t00": 1e-160, "t11": 0.0, "t12": 0.0}
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_fields(captured.out)["feasible"] == "false"
+        assert "failure: duration (m - n) pi / J_eff = inf overflows\n" in captured.out
+
     def test_malformed_json_exit_usage(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         too_long = json.dumps(EXAMPLE_CONFIG).replace("0.05", "1" * 5000, 1)

@@ -1,6 +1,8 @@
 """Tests for the pseudospin level structure and the effective exchange
 parameter mapping."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from xxzswap import (
     effective_params,
     map_to_swap,
     perturbed_levels,
+    verify_swap,
 )
 
 # worked symmetric-dot example, frozen from the defining formulas with
@@ -335,3 +338,38 @@ class TestMapToSwap:
         eff = make_effective(j_eff=1.0, delta_tilde=3.0 + 5e-7, omega_tilde=1.0 + 1e-9)
         assert not map_to_swap(eff, 2, 1, tolerance=1e-9).feasible
         assert map_to_swap(eff, 2, 1, tolerance=1e-4).feasible
+
+    def test_non_finite_inputs_are_infeasible(self):
+        eff = make_effective(j_eff=1.0, delta_tilde=1.0, omega_tilde=0.0)
+        assert map_to_swap(eff, 1, 0).feasible
+        # a nan residual fails its comparison rather than passing it
+        for name in ("delta_tilde", "omega_tilde"):
+            result = map_to_swap(dataclasses.replace(eff, **{name: math.nan}), 1, 0)
+            assert not result.feasible
+            assert result.plan is None
+            assert len(result.failures) == 1
+        # tau = pi / J_eff overflows to inf, and inf * 0 would leave a nan residual
+        result = map_to_swap(dataclasses.replace(eff, j_eff=1.3e-320), 1, 0)
+        assert not result.feasible
+        assert result.tau is None
+        assert result.failures == ("duration (m - n) pi / J_eff = inf overflows",)
+
+    def test_every_feasible_result_has_a_plan(self):
+        pairs = ((1, 0), (2, 1), (-1, 0), (0, 1), (5, -4), (-2, 3))
+        j_values = (1.0, 2.5, -1.0, 0.0, 1.3e-320, math.inf, math.nan)
+        feasible = 0
+        for (m, n), j_eff, offset in itertools.product(pairs, j_values, (0.0, math.nan)):
+            delta = (m + n) / (m - n) + offset
+            # omega~ tau = n pi at tau = (m - n) pi / J_eff
+            omega = n * j_eff / (m - n) if math.isfinite(j_eff) else 0.0
+            for eff in (
+                make_effective(j_eff=j_eff, delta_tilde=delta, omega_tilde=omega),
+                make_effective(j_eff=j_eff, delta_tilde=delta - offset, omega_tilde=omega + offset),
+            ):
+                result = map_to_swap(eff, m, n)
+                assert result.feasible == (result.plan is not None) == (not result.failures)
+                if result.feasible:
+                    feasible += 1
+                    assert result.plan.tau == result.tau
+                    assert verify_swap(result.plan, n_states=4).passed
+        assert feasible > 0

@@ -31,6 +31,7 @@ from xxzswap.seeding import stream
 from xxzswap.swaps import _random_qubits
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 class TestSolveSchedule:
@@ -83,17 +84,27 @@ class TestSolveSchedule:
                     assert abs(p.J * p.Delta * tau - (m + n) * PI) < 1e-12
                     assert abs(p.Gamma * tau - n * PI) < 1e-12
 
-    def test_plan_validation_rejects_mismatched_params(self):
-        with pytest.raises(ValidationError, match="phase conditions"):
-            SwapPlan(2, 1, 1.0, XxzParams(PI * 1.01, 3.0, PI), SwapKind.SWAP)
-        # the phase tolerance is relative, and tight at every phase size
-        for m, n, tau in ((2, 1, 1.0), (10**6, -(10**6) + 1, 0.3)):
-            p = solve_schedule(m, n, tau).params
-            off = XxzParams(p.J * (1 + 1e-9), p.Delta, p.Gamma)
-            with pytest.raises(ValidationError, match="phase conditions"):
-                SwapPlan(m, n, tau, off, SwapKind.SWAP)
-        with pytest.raises(ValidationError, match="parity"):
-            SwapPlan(2, 1, 1.0, XxzParams(PI, 3.0, PI), SwapKind.RETURN_TO_SELF)
+    def test_plan_is_derived_from_its_indices(self):
+        with pytest.raises(TypeError):
+            SwapPlan(2, 1, 1.0, XxzParams(PI, 3.0, PI))
+        with pytest.raises(TypeError):
+            SwapPlan(2, 1, 1.0, kind=SwapKind.SWAP)
+        for m, n, tau in ((2, 1, 1.0), (np.int64(-3), np.int32(3), 0.7), (5, -4, np.float64(2.5))):
+            plan = SwapPlan(m, n, tau)
+            assert plan == solve_schedule(m, n, tau)
+            assert type(plan.m) is int and type(plan.n) is int and type(plan.tau) is float
+        assert SwapPlan(-3, 3, 0.7).params.Delta == 0.0
+        assert math.copysign(1.0, SwapPlan(-3, 3, 0.7).params.Delta) == 1.0
+        # the messages test_degenerate_and_invalid_inputs matches
+        with pytest.raises(ValidationError, match="m = n"):
+            SwapPlan(1, 1, 1.0)
+        with pytest.raises(ValidationError, match="integer"):
+            SwapPlan(2.5, 1, 1.0)
+        with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+            SwapPlan(2**53 + 1, 0, 1.0)
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="positive"):
+                SwapPlan(2, 1, tau)
 
     def test_large_indices_accept_their_exact_solution(self):
         # an absolute tolerance rejected these from |n| ~ 1308 on
@@ -106,6 +117,10 @@ class TestSolveSchedule:
             if m != n:
                 plan = solve_schedule(np.int64(m), n, tau)
                 assert (plan.m, plan.n) == (m, n)
+                phases = plan.phases()
+                targets = ((m - n) * PI, (m + n) * PI, n * PI)
+                for phase, target in zip((phases.phi_x, phases.phi_z, phases.phi_h), targets):
+                    assert abs(phase - target) <= 16 * EPS * max(abs(target), PI)
 
 
 class TestClassifyOutcome:
