@@ -264,7 +264,7 @@ def map_to_swap(
     """Check whether effective parameters admit the (m, n) swap.
 
     The exchange fixes tau = (m - n) pi / J_eff, which must be positive and
-    finite; feasibility then requires the effective anisotropy to equal
+    finite (an infinite or nan J_eff gives no tau); feasibility then requires the effective anisotropy to equal
     (m + n) / (m - n) and the accumulated Zeeman phase omega~ tau to equal
     n pi, both within ``tolerance`` (a nan residual fails). The
     returned plan, when feasible, is the exact requirement at that duration;
@@ -278,7 +278,10 @@ def map_to_swap(
     failures: list[str] = []
 
     tau: float | None = None
-    if effective.j_eff == 0.0:
+    if not math.isfinite(effective.j_eff):
+        # an overflowed J_eff would give the duration 0 or nan, not a sign to flip
+        failures.append(f"J_eff = {effective.j_eff:.6g} is not finite")
+    elif effective.j_eff == 0.0:
         failures.append("J_eff = 0 accumulates no exchange phase")
     else:
         candidate = (m - n) * math.pi / effective.j_eff

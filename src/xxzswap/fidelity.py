@@ -185,35 +185,75 @@ def state_ensemble_fidelity(
 
 def _ensemble_values(phases: PhaseTriple, measure: str):
     """Sampler of the product-state overlap fidelity: one array per chunk,
-    from one ``rng.random((4, n))`` draw (rows 0-1 polar, rows 2-3 azimuth)."""
+    from one ``rng.random((4, n))`` draw (rows 0-1 polar, rows 2-3 azimuth).
+
+    Every chunk writes its intermediates with ``out=`` into rows of one work
+    buffer that the sampler allocates once, and yields a view of that buffer,
+    valid until the next chunk. The operations and their order are those of
+    the expressions in the comments, so each value is bit for bit what those
+    expressions give with fresh temporaries.
+    """
     w = SWAP_MATRIX @ propagator_matrix(phases)
     w00, w33, w11, w12 = w[0, 0], w[3, 3], w[1, 1], w[1, 2]
+    # held across chunks: memory freed after every chunk is faulted in again by the next
+    work = np.empty(11 * CHUNK_SAMPLES)
 
     def values(rng: np.random.Generator, n: int):
+        def rows(a: int, b: int) -> np.ndarray:
+            # contiguous for every n, a partial last chunk included
+            return work[a * n : b * n].reshape(b - a, n)
+
         u = rng.random((4, n))
-        # x = cos^2(theta/2) and y = 1 - x per qubit, and sqrt(xa ya xb yb)
+        re, im, cross, p, q, r, tmp = rows(0, 7)
+        x, y = rows(7, 9), rows(9, 11)
+        # x = cos^2(theta/2) and y = 1 - x per qubit, and root = sqrt(xa ya xb yb),
+        # which is scaled into cross in place
+        root = cross
         if measure == "haar_product":
             # cos(theta) = 1 - 2u, so y = u and x = 1 - u exactly
             y = u[:2]
-            x = 1.0 - y
-            root = np.sqrt(x[0] * y[0] * x[1] * y[1])
+            np.subtract(1.0, y, out=x)
+            # root = sqrt(x[0] * y[0] * x[1] * y[1])
+            np.multiply(x[0], y[0], out=root)
+            np.multiply(root, x[1], out=root)
+            np.multiply(root, y[1], out=root)
+            np.sqrt(root, out=root)
         else:
             # theta = pi u, from the half angle: (1 +- cos theta)/2 would
-            # cancel near the poles
-            half = (0.5 * np.pi) * u[:2]
-            c, s = np.cos(half), np.sin(half)
-            x, y, root = c * c, s * s, c[0] * s[0] * c[1] * s[1]
-            del half, c, s
-        # the azimuths are 2 pi u
-        cross = root * np.cos(2 * np.pi * (u[2] - u[3]))
-        p, q, r = x[0] * x[1], y[0] * y[1], x[0] * y[1] + y[0] * x[1]
-        re = w00.real * p + w33.real * q + w11.real * r + 2 * w12.real * cross
-        im = w00.imag * p + w33.imag * q + w11.imag * r + 2 * w12.imag * cross
-        f = re * re + im * im
-        # free this chunk's temporaries before it is reduced, or each chunk
-        # faults its memory in again
-        del u, x, y, root, cross, p, q, r, re, im
-        yield f
+            # cancel near the poles. half = (pi/2) u, then s = sin(half)
+            # in y and c = cos(half) in x
+            s, c = y, x
+            np.multiply(0.5 * np.pi, u[:2], out=c)
+            np.sin(c, out=s)
+            np.cos(c, out=c)
+            # root = c[0] * s[0] * c[1] * s[1]
+            np.multiply(c[0], s[0], out=root)
+            np.multiply(root, c[1], out=root)
+            np.multiply(root, s[1], out=root)
+            np.multiply(c, c, out=x)
+            np.multiply(s, s, out=y)
+        # cross = root * cos(2 pi (u[2] - u[3])), the azimuths being 2 pi u
+        np.subtract(u[2], u[3], out=tmp)
+        np.multiply(2 * np.pi, tmp, out=tmp)
+        np.cos(tmp, out=tmp)
+        np.multiply(root, tmp, out=cross)
+        # p, q, r = x[0] * x[1], y[0] * y[1], x[0] * y[1] + y[0] * x[1]
+        np.multiply(x[0], x[1], out=p)
+        np.multiply(y[0], y[1], out=q)
+        np.multiply(x[0], y[1], out=r)
+        np.multiply(y[0], x[1], out=tmp)
+        np.add(r, tmp, out=r)
+        # re (im) = w00 p + w33 q + w11 r + 2 w12 cross, real (imaginary) parts
+        for out, part in ((re, np.real), (im, np.imag)):
+            np.multiply(part(w00), p, out=out)
+            for coefficient, term in ((part(w33), q), (part(w11), r), (2 * part(w12), cross)):
+                np.multiply(coefficient, term, out=tmp)
+                np.add(out, tmp, out=out)
+        # f = re * re + im * im
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        yield re
 
     return values
 

@@ -394,6 +394,21 @@ class TestPseudospinMap:
         assert parse_fields(captured.out)["feasible"] == "false"
         assert "failure: duration (m - n) pi / J_eff = inf overflows\n" in captured.out
 
+    def test_overflowing_exchange_is_infeasible(self, tmp_path, capsys):
+        # J_eff = 4 t00^2 / (U - V) overflows to inf, so pi / J_eff = 0
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in ("dot_i", "dot_j"):
+            config[key]["zeeman_z"] = 0.0
+        config["coupling"].update(t00=1e200, t11=0.0, t12=0.0)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fields = parse_fields(captured.out)
+        assert (fields["j_eff"], fields["feasible"]) == ("inf", "false")
+        assert "failure: J_eff = inf is not finite\n" in captured.out
+        assert "flip the sign" not in captured.out
+
     def test_malformed_json_exit_usage(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         too_long = json.dumps(EXAMPLE_CONFIG).replace("0.05", "1" * 5000, 1)

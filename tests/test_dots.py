@@ -354,6 +354,17 @@ class TestMapToSwap:
         assert result.tau is None
         assert result.failures == ("duration (m - n) pi / J_eff = inf overflows",)
 
+    def test_non_finite_exchange_is_its_own_failure(self):
+        # pi / nan is no duration that overflowed, and pi / inf = 0 no sign to flip
+        for j_eff in (math.nan, math.inf, -math.inf):
+            eff = make_effective(j_eff=j_eff, delta_tilde=1.0, omega_tilde=0.0)
+            result = map_to_swap(eff, 1, 0)
+            assert not result.feasible
+            assert result.tau is None
+            assert result.plan is None
+            assert math.isnan(result.zeeman_phase_residual)
+            assert result.failures == (f"J_eff = {j_eff} is not finite",)
+
     def test_every_feasible_result_has_a_plan(self):
         pairs = ((1, 0), (2, 1), (-1, 0), (0, 1), (5, -4), (-2, 3))
         j_values = (1.0, 2.5, -1.0, 0.0, 1.3e-320, math.inf, math.nan)

@@ -351,6 +351,51 @@ class TestStateEnsemble:
         state_ensemble_fidelity(SWAP_POINT, "uniform_angles", samples=2 * CHUNK_SAMPLES + 1)
         assert sizes == [(4, CHUNK_SAMPLES), (4, CHUNK_SAMPLES), (4, 1)]
 
+    @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
+    def test_chunk_sizes_that_shrink_and_grow_reuse_no_stale_data(self, measure):
+        phases = PhaseTriple(1.3, -2.1, 0.7)
+        values = _ensemble_values(phases, measure)
+        for index, n in enumerate([CHUNK_SAMPLES, 1234, 1, CHUNK_SAMPLES]):
+            u = stream(11, index).random((4, n))
+            [f] = values(RecordedDraws(lambda size: u, []), n)
+            assert np.max(np.abs(f - reference_ensemble_values(phases, measure, u))) <= 1e-14
+            [fresh] = _ensemble_values(phases, measure)(RecordedDraws(lambda size: u, []), n)
+            assert np.array_equal(f, fresh)
+
+    @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
+    def test_one_work_buffer_per_call(self, monkeypatch, measure):
+        yielded = []
+        sampler = xxzswap.fidelity._ensemble_values
+
+        def recording(phases, measure):
+            values = sampler(phases, measure)
+
+            def recorded(rng, n):
+                for f in values(rng, n):
+                    yielded.append(f)
+                    yield f
+
+            return recorded
+
+        monkeypatch.setattr(xxzswap.fidelity, "_ensemble_values", recording)
+        state_ensemble_fidelity(SWAP_POINT, measure, samples=3 * CHUNK_SAMPLES + 1234)
+        assert len(yielded) == 4
+        assert all(np.shares_memory(f, yielded[0]) for f in yielded)
+
+    @pytest.mark.parametrize(
+        "measure, mean, std_error",
+        [
+            ("haar_product", "0x1.84cc58de8a566p-3", "0x1.b30d576fdaca4p-12"),
+            ("uniform_angles", "0x1.1435b8b8d9fcbp-2", "0x1.1eba8c0f1f27dp-11"),
+        ],
+    )
+    def test_frozen_estimate_bitwise(self, measure, mean, std_error):
+        # frozen from the sampler that allocated fresh temporaries per chunk
+        est = state_ensemble_fidelity(
+            PhaseTriple(1.3, -2.1, 0.7), measure, samples=3 * CHUNK_SAMPLES + 1234, seed=2024
+        )
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValidationError, match="unknown measure"):
             state_ensemble_fidelity(SWAP_POINT, "bloch", samples=10)
