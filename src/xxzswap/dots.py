@@ -264,9 +264,10 @@ def map_to_swap(
     """Check whether effective parameters admit the (m, n) swap.
 
     The exchange fixes tau = (m - n) pi / J_eff, which must be positive and
-    finite (an infinite or nan J_eff gives no tau); feasibility then requires the effective anisotropy to equal
-    (m + n) / (m - n) and the accumulated Zeeman phase omega~ tau to equal
-    n pi, both within ``tolerance`` (a nan residual fails). The
+    finite (an infinite or nan J_eff gives no tau); feasibility then
+    requires the effective anisotropy to equal (m + n) / (m - n) and the
+    accumulated Zeeman phase omega~ tau to equal n pi, both within
+    ``tolerance`` (a nan residual fails). The
     returned plan, when feasible, is the exact requirement at that duration;
     the residuals quantify how far the device parameters sit from it.
     """
