@@ -21,8 +21,12 @@ ensemble estimator probes the state-averaging measure behind the closed form
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +45,10 @@ DEFAULT_SAMPLES = 10**6
 #: Samples per random stream; fixed so estimates are reproducible no matter
 #: how the chunks are evaluated.
 CHUNK_SAMPLES = 1 << 16
+
+#: Samples per column block of the ensemble sampler, which holds its work
+#: buffer at this size rather than at a chunk's.
+BLOCK = 1 << 14
 
 ENSEMBLE_MEASURES = ("haar_product", "uniform_angles")
 
@@ -146,7 +154,7 @@ def average_fidelity_mc(
     fixed-size chunks are scheduled.
     """
     rows = [(spec.lambda_x, spec.lambda_z, [spec.lambda_h])]
-    return _estimate(_phase_values(spec.mean_phases, rows), samples, seed)[0]
+    return _estimate(partial(_phase_values, spec.mean_phases, rows), samples, seed)[0]
 
 
 def state_ensemble_fidelity(
@@ -180,30 +188,35 @@ def state_ensemble_fidelity(
         raise ValidationError(
             f"unknown measure {measure!r}; expected one of {ENSEMBLE_MEASURES}"
         )
-    return _estimate(_ensemble_values(phases, measure), samples, seed)[0]
+    return _estimate(partial(_ensemble_values, phases, measure), samples, seed)[0]
 
 
 def _ensemble_values(phases: PhaseTriple, measure: str):
     """Sampler of the product-state overlap fidelity: one array per chunk,
     from one ``rng.random((4, n))`` draw (rows 0-1 polar, rows 2-3 azimuth).
 
-    Every chunk writes its intermediates with ``out=`` into rows of one work
-    buffer that the sampler allocates once, and yields a view of that buffer,
-    valid until the next chunk. The operations and their order are those of
-    the expressions in the comments, so each value is bit for bit what those
-    expressions give with fresh temporaries.
+    A chunk is computed in column blocks of ``BLOCK`` samples. Each block
+    writes its intermediates with ``out=`` into rows of a work buffer of
+    ``11 * BLOCK`` values and its fidelities into an output array of
+    ``CHUNK_SAMPLES`` values; the sampler allocates both once. It yields a
+    view of the output array, valid until the next chunk. The operations and
+    their order are those of the expressions in the comments, so each value
+    is bit for bit what those expressions give on the whole chunk with fresh
+    temporaries.
     """
     w = SWAP_MATRIX @ propagator_matrix(phases)
     w00, w33, w11, w12 = w[0, 0], w[3, 3], w[1, 1], w[1, 2]
     # held across chunks: memory freed after every chunk is faulted in again by the next
-    work = np.empty(11 * CHUNK_SAMPLES)
+    work = np.empty(11 * BLOCK)
+    f = np.empty(CHUNK_SAMPLES)
 
-    def values(rng: np.random.Generator, n: int):
+    def block(u: np.ndarray, out: np.ndarray) -> None:
+        k = u.shape[1]
+
         def rows(a: int, b: int) -> np.ndarray:
-            # contiguous for every n, a partial last chunk included
-            return work[a * n : b * n].reshape(b - a, n)
+            # contiguous for every k, a partial last block included
+            return work[a * k : b * k].reshape(b - a, k)
 
-        u = rng.random((4, n))
         re, im, cross, p, q, r, tmp = rows(0, 7)
         x, y = rows(7, 9), rows(9, 11)
         # x = cos^2(theta/2) and y = 1 - x per qubit, and root = sqrt(xa ya xb yb),
@@ -244,16 +257,22 @@ def _ensemble_values(phases: PhaseTriple, measure: str):
         np.multiply(y[0], x[1], out=tmp)
         np.add(r, tmp, out=r)
         # re (im) = w00 p + w33 q + w11 r + 2 w12 cross, real (imaginary) parts
-        for out, part in ((re, np.real), (im, np.imag)):
-            np.multiply(part(w00), p, out=out)
+        for acc, part in ((re, np.real), (im, np.imag)):
+            np.multiply(part(w00), p, out=acc)
             for coefficient, term in ((part(w33), q), (part(w11), r), (2 * part(w12), cross)):
                 np.multiply(coefficient, term, out=tmp)
-                np.add(out, tmp, out=out)
+                np.add(acc, tmp, out=acc)
         # f = re * re + im * im
         np.multiply(re, re, out=re)
         np.multiply(im, im, out=im)
-        np.add(re, im, out=re)
-        yield re
+        np.add(re, im, out=out)
+
+    def values(rng: np.random.Generator, n: int):
+        u = rng.random((4, n))
+        for start in range(0, n, BLOCK):
+            stop = min(start + BLOCK, n)
+            block(u[:, start:stop], f[start:stop])
+        yield f[:n]
 
     return values
 
@@ -297,7 +316,7 @@ def fidelity_grid(
             raise ValidationError(f"{name} must be nondecreasing")
     specs = [FluctuationSpec(lam_xz, lam_xz, lam_h, mean_phases) for lam_xz in xz for lam_h in h]
     # every grid point is evaluated on the same chunk of normals
-    sampler = _phase_values(mean_phases, [(lam_xz, lam_xz, h) for lam_xz in xz])
+    sampler = partial(_phase_values, mean_phases, [(lam_xz, lam_xz, h) for lam_xz in xz])
     return [
         FidelityGridRow(
             lambda_x=spec.lambda_x,
@@ -318,22 +337,60 @@ def _chunk_stats(values, samples: int, seed: int, index: int):
     one sample chunk.
 
     Chunk contents depend only on (seed, index), so chunks may be evaluated
-    in any order, or in parallel, and reduced by index. Each array is
-    reduced as soon as it is yielded.
+    in any order, or in parallel, and reduced by index; ``_estimate`` does
+    both. Each array is reduced as soon as it is yielded.
     """
     n = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
     return [(float(np.sum(f)), float(np.sum(f * f))) for f in values(stream(seed, index), n)]
 
 
-def _estimate(values, samples: int, seed: int) -> list[McEstimate]:
-    """Seeded Monte Carlo mean, with its standard error, of each array
-    ``values`` yields."""
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
+    """Seeded Monte Carlo mean, with its standard error, of each array the
+    samplers ``make_values()`` builds yield.
+
+    The chunks run on one worker per CPU the process may use, at most one
+    per chunk: worker ``w`` of ``W`` builds its own sampler and evaluates
+    chunks ``w, w + W, w + 2W, ...``. The calling thread is worker 0 and the
+    others are threads, which overlap because numpy releases the GIL inside
+    the draws, the ufunc loops and the sums. Each thread runs in a copy of
+    the caller's context, so ``np.errstate`` applies in it, and its
+    exception is raised in the caller. The chunks are reduced in index
+    order, so the result does not depend on the worker count.
+    """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    chunks = [
-        _chunk_stats(values, samples, seed, index)
-        for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES)
+    count = (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
+    workers = min(_cpus(), count)
+    chunks = [None] * count
+    errors = [None] * workers
+
+    def work(first: int) -> None:
+        try:
+            values = make_values()
+            for index in range(first, count, workers):
+                chunks[index] = _chunk_stats(values, samples, seed, index)
+        except BaseException as error:  # raised again by the calling thread
+            errors[first] = error
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, first))
+        for first in range(1, workers)
     ]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
     estimates = []
     for per_chunk in zip(*chunks):
         total = total_sq = 0.0

@@ -2,6 +2,9 @@
 Monte Carlo estimators."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from xxzswap import (
 )
 import xxzswap.fidelity
 from xxzswap.fidelity import (
+    BLOCK,
     CHUNK_SAMPLES,
     ENSEMBLE_MEASURES,
     _chunk_stats,
@@ -38,6 +42,8 @@ FA_110 = 0.8360883847424102
 
 # one sample, one full chunk, a chunk and one, several chunks and a partial one
 SAMPLE_COUNTS = [1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 1234]
+# worker counts to run the estimators at: one, one per CPU here, and more
+WORKER_COUNTS = [1, 2, 3]
 # the (m, n) = (5, -4) swap point
 MEAN_5_M4 = PhaseTriple(9 * PI, PI, -4 * PI)
 
@@ -59,6 +65,12 @@ def reference_mc(spec, samples, seed):
     m = total / samples
     variance = max(total_sq - samples * m * m, 0.0) / (samples - 1) if samples > 1 else 0.0
     return m, math.sqrt(variance / samples)
+
+
+def use_cpus(monkeypatch, count):
+    """Make the estimators see ``count`` CPUs, so they run ``count`` workers
+    wherever there are that many chunks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def analytic(lx, lz, lh):
@@ -259,6 +271,28 @@ def reference_ensemble_values(phases, measure, u):
     return np.abs(_expectation(op, _product(qubits[0], qubits[1]))) ** 2
 
 
+def written_out_ensemble_values(phases, measure, u):
+    """Oracle: the ensemble sampler's expressions, in its order of
+    operations, on the whole chunk with fresh temporaries."""
+    w = SWAP_MATRIX @ propagator_matrix(phases)
+    if measure == "haar_product":
+        y = u[:2]
+        x = 1.0 - y
+        root = np.sqrt(x[0] * y[0] * x[1] * y[1])
+    else:
+        half = 0.5 * np.pi * u[:2]
+        s, c = np.sin(half), np.cos(half)
+        root = c[0] * s[0] * c[1] * s[1]
+        x, y = c * c, s * s
+    cross = root * np.cos(2 * np.pi * (u[2] - u[3]))
+    p, q, r = x[0] * x[1], y[0] * y[1], x[0] * y[1] + y[0] * x[1]
+    re, im = (
+        part(w[0, 0]) * p + part(w[3, 3]) * q + part(w[1, 1]) * r + 2 * part(w[1, 2]) * cross
+        for part in (np.real, np.imag)
+    )
+    return re * re + im * im
+
+
 class RecordedDraws:
     """Stands in for a generator: records the size of each ``random`` call
     and hands it on to ``source``."""
@@ -344,12 +378,17 @@ class TestStateEnsemble:
             assert np.max(np.abs(f - reference_ensemble_values(phases, measure, u))) <= 1e-14
 
     def test_draws_one_block_per_chunk(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(
-            xxzswap.fidelity, "stream", lambda s, i: RecordedDraws(stream(s, i).random, sizes)
-        )
+        # chunks may finish in any order, so each records its own index
+        draws = []
+
+        def recorded_stream(s, i):
+            sizes = []
+            draws.append((i, sizes))
+            return RecordedDraws(stream(s, i).random, sizes)
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", recorded_stream)
         state_ensemble_fidelity(SWAP_POINT, "uniform_angles", samples=2 * CHUNK_SAMPLES + 1)
-        assert sizes == [(4, CHUNK_SAMPLES), (4, CHUNK_SAMPLES), (4, 1)]
+        assert sorted(draws) == [(0, [(4, CHUNK_SAMPLES)]), (1, [(4, CHUNK_SAMPLES)]), (2, [(4, 1)])]
 
     @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
     def test_chunk_sizes_that_shrink_and_grow_reuse_no_stale_data(self, measure):
@@ -363,12 +402,26 @@ class TestStateEnsemble:
             assert np.array_equal(f, fresh)
 
     @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
+    def test_blocks_give_the_whole_chunk_expressions_bitwise(self, measure):
+        phases = PhaseTriple(1.3, -2.1, 0.7)
+        values = _ensemble_values(phases, measure)
+        for index, n in enumerate([BLOCK - 1, BLOCK, BLOCK + 1, 1, CHUNK_SAMPLES]):
+            u = stream(13, index).random((4, n))
+            [f] = values(RecordedDraws(lambda size: u, []), n)
+            assert np.array_equal(f, written_out_ensemble_values(phases, measure, u))
+            assert np.max(np.abs(f - reference_ensemble_values(phases, measure, u))) <= 1e-14
+
+    @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
     def test_one_work_buffer_per_call(self, monkeypatch, measure):
-        yielded = []
+        # one sampler, and so one buffer, per worker; at one worker a single
+        # buffer serves all four chunks
+        samplers = []
         sampler = xxzswap.fidelity._ensemble_values
 
         def recording(phases, measure):
             values = sampler(phases, measure)
+            yielded = []
+            samplers.append(yielded)
 
             def recorded(rng, n):
                 for f in values(rng, n):
@@ -378,9 +431,14 @@ class TestStateEnsemble:
             return recorded
 
         monkeypatch.setattr(xxzswap.fidelity, "_ensemble_values", recording)
-        state_ensemble_fidelity(SWAP_POINT, measure, samples=3 * CHUNK_SAMPLES + 1234)
-        assert len(yielded) == 4
-        assert all(np.shares_memory(f, yielded[0]) for f in yielded)
+        for workers in WORKER_COUNTS:
+            use_cpus(monkeypatch, workers)
+            samplers.clear()
+            state_ensemble_fidelity(SWAP_POINT, measure, samples=3 * CHUNK_SAMPLES + 1234)
+            assert len(samplers) == workers
+            assert sum(len(yielded) for yielded in samplers) == 4
+            for yielded in samplers:
+                assert all(np.shares_memory(f, yielded[0]) for f in yielded)
 
     @pytest.mark.parametrize(
         "measure, mean, std_error",
@@ -460,7 +518,8 @@ class TestFidelityGrid:
 
         monkeypatch.setattr(xxzswap.fidelity, "stream", counted_stream)
         fidelity_grid([0.0, 1.0, 2.0], [0.0, 3.0], samples=2 * CHUNK_SAMPLES + 1, seed=3)
-        assert opened == [(3, 0), (3, 1), (3, 2)]
+        # workers open their chunks concurrently, in no fixed order
+        assert sorted(opened) == [(3, 0), (3, 1), (3, 2)]
 
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
     @pytest.mark.parametrize(
@@ -486,3 +545,70 @@ class TestFidelityGrid:
             assert (row.f_mc, row.f_mc_stderr) == reference_mc(spec, samples, 11)
             assert row.f_analytic == average_fidelity_analytic(spec)
             assert (row.samples, row.seed) == (samples, 11)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS + [BLOCK + 1])
+    def test_estimates_do_not_depend_on_worker_count(self, monkeypatch, samples):
+        def estimates():
+            return (
+                [
+                    state_ensemble_fidelity(PhaseTriple(1.3, -2.1, 0.7), m, samples, seed=7)
+                    for m in ENSEMBLE_MEASURES
+                ],
+                average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples, seed=7),
+                fidelity_grid([0.0, 0.7], [0.4, 2.5], samples, seed=7, mean_phases=MEAN_5_M4),
+            )
+
+        results = []
+        interval = sys.getswitchinterval()
+        # switch threads often, so a lost or misplaced chunk would show
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in WORKER_COUNTS:
+                use_cpus(monkeypatch, workers)
+                results.append(estimates())
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        expected = average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), CHUNK_SAMPLES)
+        monkeypatch.setattr(xxzswap.fidelity, "threading", None)
+        assert average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), CHUNK_SAMPLES) == expected
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_callers_error_state_applies_in_every_worker(self, monkeypatch, workers):
+        use_cpus(monkeypatch, workers)
+        raised = []
+        chunk_stats = xxzswap.fidelity._chunk_stats
+
+        def recording(values, samples, seed, index):
+            try:
+                return chunk_stats(values, samples, seed, index)
+            except Exception as error:
+                raised.append(type(error))
+                raise
+
+        monkeypatch.setattr(xxzswap.fidelity, "_chunk_stats", recording)
+        # lambda_x * z overflows in every full chunk, and each worker has one
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            average_fidelity_mc(FluctuationSpec(1e308, 0.0, 0.0), samples=3 * CHUNK_SAMPLES)
+        # each worker stops at its first chunk
+        assert raised == [FloatingPointError] * workers
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def failing_stream(seed, index):
+            if index == 1:
+                raise RuntimeError("chunk 1 failed")
+            return stream(seed, index)
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", failing_stream)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            state_ensemble_fidelity(SWAP_POINT, "haar_product", samples=2 * CHUNK_SAMPLES + 1)
+        assert threading.active_count() == threads
