@@ -25,6 +25,7 @@ import contextvars
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -358,39 +359,43 @@ def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
     The chunks run on one worker per CPU the process may use, at most one
     per chunk: worker ``w`` of ``W`` builds its own sampler and evaluates
     chunks ``w, w + W, w + 2W, ...``. The calling thread is worker 0 and the
-    others are threads, which overlap because numpy releases the GIL inside
-    the draws, the ufunc loops and the sums. Each thread runs in a copy of
-    the caller's context, so ``np.errstate`` applies in it, and its
-    exception is raised in the caller. The chunks are reduced in index
-    order, so the result does not depend on the worker count.
+    others are pool threads, which overlap because numpy releases the GIL
+    inside the draws, the ufunc loops and the sums. Each thread runs in a
+    copy of the caller's context, so ``np.errstate`` applies in it. Once a
+    worker fails, the others stop before their next chunk, and the failure
+    is raised in the caller. The chunks are reduced in index order, so the
+    result does not depend on the worker count.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     count = (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     workers = min(_cpus(), count)
     chunks = [None] * count
-    errors = [None] * workers
+    stop = threading.Event()
 
     def work(first: int) -> None:
         try:
             values = make_values()
             for index in range(first, count, workers):
+                if stop.is_set():
+                    return
                 chunks[index] = _chunk_stats(values, samples, seed, index)
-        except BaseException as error:  # raised again by the calling thread
-            errors[first] = error
+        except BaseException:
+            stop.set()
+            raise
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work, first))
-        for first in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    # the pool starts a thread per submitted worker, so one worker starts none
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, work, first)
+            for first in range(1, workers)
+        ]
+        try:
+            work(0)
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()  # an interrupt while waiting stops the pool threads too
     estimates = []
     for per_chunk in zip(*chunks):
         total = total_sq = 0.0

@@ -517,6 +517,20 @@ class TestFidelityGrid:
             return stream(seed, index)
 
         monkeypatch.setattr(xxzswap.fidelity, "stream", counted_stream)
+        use_cpus(monkeypatch, 1)
+        fidelity_grid([0.0, 1.0, 2.0], [0.0, 3.0], samples=2 * CHUNK_SAMPLES + 1, seed=3)
+        assert opened == [(3, 0), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+    def test_draws_each_chunk_once_per_grid_on_every_worker_count(self, monkeypatch, workers):
+        opened = []
+
+        def counted_stream(seed, index):
+            opened.append((seed, index))
+            return stream(seed, index)
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", counted_stream)
+        use_cpus(monkeypatch, workers)
         fidelity_grid([0.0, 1.0, 2.0], [0.0, 3.0], samples=2 * CHUNK_SAMPLES + 1, seed=3)
         # workers open their chunks concurrently, in no fixed order
         assert sorted(opened) == [(3, 0), (3, 1), (3, 2)]
@@ -573,31 +587,56 @@ class TestWorkers:
         assert results[1] == results[0]
         assert results[2] == results[0]
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
-        use_cpus(monkeypatch, 3)
-        expected = average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), CHUNK_SAMPLES)
-        monkeypatch.setattr(xxzswap.fidelity, "threading", None)
-        assert average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), CHUNK_SAMPLES) == expected
+    @pytest.mark.parametrize("cpus, samples", [(3, CHUNK_SAMPLES), (1, 3 * CHUNK_SAMPLES + 1234)])
+    def test_one_worker_starts_no_thread(self, monkeypatch, cpus, samples):
+        use_cpus(monkeypatch, cpus)
+        expected = average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples)
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples) == expected
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_callers_error_state_applies_in_every_worker(self, monkeypatch, workers):
         use_cpus(monkeypatch, workers)
-        raised = []
+        seen = []
         chunk_stats = xxzswap.fidelity._chunk_stats
 
         def recording(values, samples, seed, index):
-            try:
-                return chunk_stats(values, samples, seed, index)
-            except Exception as error:
-                raised.append(type(error))
-                raise
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return chunk_stats(values, samples, seed, index)
 
         monkeypatch.setattr(xxzswap.fidelity, "_chunk_stats", recording)
-        # lambda_x * z overflows in every full chunk, and each worker has one
+        with np.errstate(over="raise"):
+            average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples=3 * CHUNK_SAMPLES)
+        assert len({ident for ident, _ in seen}) == workers
+        assert [over for _, over in seen] == ["raise"] * 3
+        # lambda_x * z overflows in every full chunk
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            average_fidelity_mc(FluctuationSpec(1e308, 0.0, 0.0), samples=3 * CHUNK_SAMPLES)
-        # each worker stops at its first chunk
-        assert raised == [FloatingPointError] * workers
+            average_fidelity_mc(FluctuationSpec(1e308, 0.0, 0.0), samples=2 * CHUNK_SAMPLES + 1)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_worker_stops_the_others(self, monkeypatch, failing):
+        use_cpus(monkeypatch, 2)
+        opened = []
+        failed = threading.Event()
+
+        def failing_stream(seed, index):
+            opened.append(index)
+            if index == failing:
+                failed.set()
+                raise RuntimeError(f"chunk {index} failed")
+            # the other worker goes on only once the failing chunk has raised
+            failed.wait(timeout=10.0)
+            return stream(seed, index)
+
+        monkeypatch.setattr(xxzswap.fidelity, "stream", failing_stream)
+        with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+            state_ensemble_fidelity(SWAP_POINT, "haar_product", samples=6 * CHUNK_SAMPLES)
+        # the other worker finishes the chunk it had opened, and opens no more
+        assert set(opened) <= {0, 1}
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         use_cpus(monkeypatch, 2)
