@@ -30,7 +30,7 @@ from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
 from .errors import SingularityError, ValidationError
 from .fidelity import FidelityGridRow, fidelity_grid
-from .seeding import DEFAULT_SEED, stream
+from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _partial_trace, _product
 from .swaps import ScanRow, _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
 
@@ -112,9 +112,7 @@ def _resolve_seed(args) -> int:
             seed, source = int(raw), SEED_ENV_VAR
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 0 <= seed < 2**128:  # the seed is the Philox key
-        raise ValidationError(f"{source} must lie in [0, 2**128), got {seed}")
-    return seed
+    return check_seed(seed, source)
 
 
 def cmd_swap_solve(args) -> int:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one field check of
-its frozen value types."""
+"""Exception types shared across the package, the one field check of its
+frozen value types, and the one integer check."""
 
 import cmath
+import numbers
 from dataclasses import fields
 
 
@@ -15,6 +16,13 @@ class SingularityError(ArithmeticError):
     Raised for degenerate perturbation denominators, the charge-gap /
     qubit-splitting resonance, and a vanishing tunneling product.
     """
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are rejected."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_finite(obj, names=None, cast=float) -> None:

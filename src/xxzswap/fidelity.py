@@ -32,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from .dynamics import PhaseTriple, propagator_matrix
-from .errors import ValidationError, check_finite
-from .seeding import DEFAULT_SEED, stream
+from .errors import ValidationError, check_finite, check_integer
+from .seeding import DEFAULT_SEED, check_seed, stream
 from .swaps import SWAP_MATRIX
 
 #: Swap-point phases used as the default fluctuation mean: the (m, n) = (2, 1)
@@ -47,9 +47,11 @@ DEFAULT_SAMPLES = 10**6
 #: how the chunks are evaluated.
 CHUNK_SAMPLES = 1 << 16
 
-#: Samples per column block of the ensemble sampler, which holds its work
-#: buffer at this size rather than at a chunk's.
-BLOCK = 1 << 14
+#: Samples per column block of the ensemble sampler. Each of a block's
+#: temporaries is then 64 KiB, below glibc's default 128 KiB mmap threshold,
+#: so the heap reuses them from block to block instead of mapping fresh pages
+#: and faulting them in for every block.
+BLOCK = 1 << 13
 
 ENSEMBLE_MEASURES = ("haar_product", "uniform_angles")
 
@@ -196,83 +198,43 @@ def _ensemble_values(phases: PhaseTriple, measure: str):
     """Sampler of the product-state overlap fidelity: one array per chunk,
     from one ``rng.random((4, n))`` draw (rows 0-1 polar, rows 2-3 azimuth).
 
-    A chunk is computed in column blocks of ``BLOCK`` samples. Each block
-    writes its intermediates with ``out=`` into rows of a work buffer of
-    ``11 * BLOCK`` values and its fidelities into an output array of
-    ``CHUNK_SAMPLES`` values; the sampler allocates both once. It yields a
-    view of the output array, valid until the next chunk. The operations and
-    their order are those of the expressions in the comments, so each value
-    is bit for bit what those expressions give on the whole chunk with fresh
-    temporaries.
+    A chunk is computed in column blocks of ``BLOCK`` samples, written into
+    one output array of ``CHUNK_SAMPLES`` values that the sampler allocates
+    once. It yields a view of that array, valid until the next chunk.
     """
     w = SWAP_MATRIX @ propagator_matrix(phases)
     w00, w33, w11, w12 = w[0, 0], w[3, 3], w[1, 1], w[1, 2]
     # held across chunks: memory freed after every chunk is faulted in again by the next
-    work = np.empty(11 * BLOCK)
     f = np.empty(CHUNK_SAMPLES)
 
-    def block(u: np.ndarray, out: np.ndarray) -> None:
-        k = u.shape[1]
-
-        def rows(a: int, b: int) -> np.ndarray:
-            # contiguous for every k, a partial last block included
-            return work[a * k : b * k].reshape(b - a, k)
-
-        re, im, cross, p, q, r, tmp = rows(0, 7)
-        x, y = rows(7, 9), rows(9, 11)
-        # x = cos^2(theta/2) and y = 1 - x per qubit, and root = sqrt(xa ya xb yb),
-        # which is scaled into cross in place
-        root = cross
+    def block(u: np.ndarray) -> np.ndarray:
+        # x = cos^2(theta/2) and y = 1 - x per qubit, and root = sqrt(xa ya xb yb)
         if measure == "haar_product":
             # cos(theta) = 1 - 2u, so y = u and x = 1 - u exactly
             y = u[:2]
-            np.subtract(1.0, y, out=x)
-            # root = sqrt(x[0] * y[0] * x[1] * y[1])
-            np.multiply(x[0], y[0], out=root)
-            np.multiply(root, x[1], out=root)
-            np.multiply(root, y[1], out=root)
-            np.sqrt(root, out=root)
+            x = 1.0 - y
+            root = np.sqrt(x[0] * y[0] * x[1] * y[1])
         else:
             # theta = pi u, from the half angle: (1 +- cos theta)/2 would
-            # cancel near the poles. half = (pi/2) u, then s = sin(half)
-            # in y and c = cos(half) in x
-            s, c = y, x
-            np.multiply(0.5 * np.pi, u[:2], out=c)
-            np.sin(c, out=s)
-            np.cos(c, out=c)
-            # root = c[0] * s[0] * c[1] * s[1]
-            np.multiply(c[0], s[0], out=root)
-            np.multiply(root, c[1], out=root)
-            np.multiply(root, s[1], out=root)
-            np.multiply(c, c, out=x)
-            np.multiply(s, s, out=y)
-        # cross = root * cos(2 pi (u[2] - u[3])), the azimuths being 2 pi u
-        np.subtract(u[2], u[3], out=tmp)
-        np.multiply(2 * np.pi, tmp, out=tmp)
-        np.cos(tmp, out=tmp)
-        np.multiply(root, tmp, out=cross)
-        # p, q, r = x[0] * x[1], y[0] * y[1], x[0] * y[1] + y[0] * x[1]
-        np.multiply(x[0], x[1], out=p)
-        np.multiply(y[0], y[1], out=q)
-        np.multiply(x[0], y[1], out=r)
-        np.multiply(y[0], x[1], out=tmp)
-        np.add(r, tmp, out=r)
-        # re (im) = w00 p + w33 q + w11 r + 2 w12 cross, real (imaginary) parts
-        for acc, part in ((re, np.real), (im, np.imag)):
-            np.multiply(part(w00), p, out=acc)
-            for coefficient, term in ((part(w33), q), (part(w11), r), (2 * part(w12), cross)):
-                np.multiply(coefficient, term, out=tmp)
-                np.add(acc, tmp, out=acc)
-        # f = re * re + im * im
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        np.add(re, im, out=out)
+            # cancel near the poles
+            half = 0.5 * np.pi * u[:2]
+            s, c = np.sin(half), np.cos(half)
+            root = c[0] * s[0] * c[1] * s[1]
+            x, y = c * c, s * s
+        # the azimuths are 2 pi u[2:]
+        cross = root * np.cos(2 * np.pi * (u[2] - u[3]))
+        p, q, r = x[0] * x[1], y[0] * y[1], x[0] * y[1] + y[0] * x[1]
+        re, im = (
+            part(w00) * p + part(w33) * q + part(w11) * r + 2 * part(w12) * cross
+            for part in (np.real, np.imag)
+        )
+        return re * re + im * im
 
     def values(rng: np.random.Generator, n: int):
         u = rng.random((4, n))
         for start in range(0, n, BLOCK):
             stop = min(start + BLOCK, n)
-            block(u[:, start:stop], f[start:stop])
+            f[start:stop] = block(u[:, start:stop])
         yield f[:n]
 
     return values
@@ -326,8 +288,8 @@ def fidelity_grid(
             f_analytic=average_fidelity_analytic(spec),
             f_mc=estimate.mean,
             f_mc_stderr=estimate.std_error,
-            samples=samples,
-            seed=seed,
+            samples=estimate.samples,
+            seed=estimate.seed,
         )
         for spec, estimate in zip(specs, _estimate(sampler, samples, seed))
     ]
@@ -366,6 +328,7 @@ def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
     is raised in the caller. The chunks are reduced in index order, so the
     result does not depend on the worker count.
     """
+    samples, seed = check_integer(samples, "samples"), check_seed(seed)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     count = (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES

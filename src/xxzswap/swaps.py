@@ -29,8 +29,8 @@ from .dynamics import (
     accumulate_phases,
     propagator_matrix,
 )
-from .errors import ValidationError
-from .seeding import DEFAULT_SEED, stream
+from .errors import ValidationError, check_integer
+from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _expectation, _partial_trace, _product
 
 SWAP_MATRIX = np.array(
@@ -216,6 +216,7 @@ def _verify_phases(
     if n_states < 0:
         raise ValidationError("n_states must be nonnegative")
     tolerance = _check_tolerance(tolerance)
+    seed = check_seed(seed)
     U = propagator_matrix(phases)
     trace_overlap, global_phase, max_entry_deviation = _compare_to_target(U, kind)
 
@@ -283,9 +284,7 @@ def delta_feasibility_scan(
 
 def _check_integer_pair(m, n) -> tuple[int, int]:
     for name, value in (("m", m), ("n", n)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if abs(int(value)) > 2**53:  # floats skip integers beyond 2**53
+        if abs(check_integer(value, name)) > 2**53:  # floats skip integers beyond 2**53
             raise ValidationError(f"|{name}| must be at most 2**53")
     if m == n:
         raise ValidationError("m = n leaves the 01/10 block unmixed; no swap solution")

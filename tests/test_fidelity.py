@@ -238,6 +238,43 @@ class TestMonteCarloAverage:
             average_fidelity_mc(FluctuationSpec(1, 1, 1), samples=0)
 
 
+# each Monte Carlo entry point, as a call with (samples, seed) that returns
+# something carrying both
+ESTIMATORS = {
+    "mc": lambda samples, seed: average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples, seed),
+    "ensemble": lambda samples, seed: state_ensemble_fidelity(
+        SWAP_POINT, "haar_product", samples, seed
+    ),
+    "grid": lambda samples, seed: fidelity_grid([0.5], [0.5], samples, seed)[0],
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+class TestEstimatorInputs:
+    @pytest.mark.parametrize("samples", [2.5, 1e3, True, "10", None])
+    def test_non_integer_sample_count_rejected(self, estimator, samples):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            ESTIMATORS[estimator](samples, 7)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None])
+    def test_non_integer_seed_rejected(self, estimator, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            ESTIMATORS[estimator](10, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, -(2**200)])
+    def test_seed_outside_the_philox_keys_rejected(self, estimator, seed):
+        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            ESTIMATORS[estimator](10, seed)
+
+    def test_integers_of_every_kind_accepted(self, estimator):
+        for seed in (0, 2**128 - 1):
+            ESTIMATORS[estimator](10, seed)
+        # numpy integers are integers, and the result carries python ints
+        result = ESTIMATORS[estimator](np.int64(1000), np.uint64(2**64 - 1))
+        assert result == ESTIMATORS[estimator](1000, 2**64 - 1)
+        assert (type(result.samples), type(result.seed)) == (int, int)
+
+
 # second moments [[E x^2, E xy], [E xy, E y^2]] of x = cos^2(theta/2), y = 1 - x
 ENSEMBLE_MOMENTS = {
     "haar_product": np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]),
@@ -405,7 +442,9 @@ class TestStateEnsemble:
     def test_blocks_give_the_whole_chunk_expressions_bitwise(self, measure):
         phases = PhaseTriple(1.3, -2.1, 0.7)
         values = _ensemble_values(phases, measure)
-        for index, n in enumerate([BLOCK - 1, BLOCK, BLOCK + 1, 1, CHUNK_SAMPLES]):
+        for index, n in enumerate(
+            [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1, CHUNK_SAMPLES - 1, CHUNK_SAMPLES]
+        ):
             u = stream(13, index).random((4, n))
             [f] = values(RecordedDraws(lambda size: u, []), n)
             assert np.array_equal(f, written_out_ensemble_values(phases, measure, u))
@@ -413,8 +452,8 @@ class TestStateEnsemble:
 
     @pytest.mark.parametrize("measure", ENSEMBLE_MEASURES)
     def test_one_work_buffer_per_call(self, monkeypatch, measure):
-        # one sampler, and so one buffer, per worker; at one worker a single
-        # buffer serves all four chunks
+        # one sampler, and so one output array, per worker; at one worker a
+        # single output array serves all four chunks
         samplers = []
         sampler = xxzswap.fidelity._ensemble_values
 
@@ -562,7 +601,7 @@ class TestFidelityGrid:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("samples", SAMPLE_COUNTS + [BLOCK + 1])
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS + [BLOCK + 1, 2 * BLOCK + 1])
     def test_estimates_do_not_depend_on_worker_count(self, monkeypatch, samples):
         def estimates():
             return (
@@ -603,8 +642,13 @@ class TestWorkers:
         use_cpus(monkeypatch, workers)
         seen = []
         chunk_stats = xxzswap.fidelity._chunk_stats
+        # each worker's first chunk waits for the others', so no worker can
+        # finish before the next is submitted and hand it its pool thread
+        together = threading.Barrier(workers, timeout=10.0)
 
         def recording(values, samples, seed, index):
+            if index < workers:
+                together.wait()
             seen.append((threading.get_ident(), np.geterr()["over"]))
             return chunk_stats(values, samples, seed, index)
 
