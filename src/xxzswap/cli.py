@@ -339,7 +339,8 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except ValidationError as exc:
+    # a size too large to allocate is a usage error too
+    except (ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SingularityError as exc:

@@ -213,6 +213,7 @@ def _verify_phases(
     n_states: int,
     seed: int,
 ) -> VerificationReport:
+    n_states = check_integer(n_states, "n_states")
     if n_states < 0:
         raise ValidationError("n_states must be nonnegative")
     tolerance = _check_tolerance(tolerance)

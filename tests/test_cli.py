@@ -257,6 +257,18 @@ class TestFidelitySweep:
             assert main(self.SWEEP) == 2
             assert "XXZSWAP_SEED" in capsys.readouterr().err
 
+    def test_unallocatable_size_exit_usage(self, monkeypatch, capsys):
+        # stands in for the grid of `--points 1000000000000`, which numpy
+        # refuses to allocate
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "fidelity_grid", refuse)
+        assert main(self.SWEEP) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
+
     def test_default_extent_reaches_wide_fluctuation_limit(self, tmp_path):
         # keep the default grid extents, shrink only the sample count; the
         # analytic column in the far corner must sit on the 7/15 plateau

@@ -48,18 +48,23 @@ WORKER_COUNTS = [1, 2, 3]
 MEAN_5_M4 = PhaseTriple(9 * PI, PI, -4 * PI)
 
 
+def written_out_phase_values(spec, z):
+    """Oracle: the closed form at the phases ``spec`` draws from the normals
+    ``z``, written out in its own order of operations."""
+    mean = spec.mean_phases
+    s = np.sin(0.5 * (mean.phi_x + spec.lambda_x * z[0]))
+    phi_z = mean.phi_z + spec.lambda_z * z[1]
+    phi_h = mean.phi_h + spec.lambda_h * z[2]
+    return 1 / 5 + (8 / 15) * s * s + (4 / 15) * s * np.sin(0.5 * phi_z + phi_h)
+
+
 def reference_mc(spec, samples, seed):
     """Oracle: one grid point's estimator written out, one chunk stream at a
-    time, in the closed form's own order of operations."""
-    mean = spec.mean_phases
+    time."""
     total = total_sq = 0.0
     for index in range((samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
         n = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
-        z = stream(seed, index).standard_normal((3, n))
-        s = np.sin(0.5 * (mean.phi_x + spec.lambda_x * z[0]))
-        phi_z = mean.phi_z + spec.lambda_z * z[1]
-        phi_h = mean.phi_h + spec.lambda_h * z[2]
-        f = 1 / 5 + (8 / 15) * s * s + (4 / 15) * s * np.sin(0.5 * phi_z + phi_h)
+        f = written_out_phase_values(spec, stream(seed, index).standard_normal((3, n)))
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
     m = total / samples
@@ -573,6 +578,46 @@ class TestFidelityGrid:
         fidelity_grid([0.0, 1.0, 2.0], [0.0, 3.0], samples=2 * CHUNK_SAMPLES + 1, seed=3)
         # workers open their chunks concurrently, in no fixed order
         assert sorted(opened) == [(3, 0), (3, 1), (3, 2)]
+
+    def test_chunk_sizes_that_shrink_and_grow_reuse_no_stale_data(self):
+        rows = [(0.8, 1.2, [0.4, 0.0]), (2.0, 0.0, [1.5])]
+        specs = [FluctuationSpec(lx, lz, lh, MEAN_5_M4) for lx, lz, lhs in rows for lh in lhs]
+        values = _phase_values(MEAN_5_M4, rows)
+        for index, n in enumerate([CHUNK_SAMPLES, 1234, 1, CHUNK_SAMPLES]):
+            z = stream(11, index).standard_normal((3, n))
+            fresh = [f.copy() for f in _phase_values(MEAN_5_M4, rows)(stream(11, index), n)]
+            # each array is checked before the sampler overwrites it with the next
+            for spec, f, g in zip(specs, values(stream(11, index), n), fresh, strict=True):
+                assert np.array_equal(f, written_out_phase_values(spec, z))
+                assert np.array_equal(f, g)
+
+    def test_one_set_of_buffers_per_worker(self, monkeypatch):
+        # one sampler, and so one fidelity buffer, per worker; at one worker a
+        # single buffer serves every grid point of all four chunks
+        samplers = []
+        sampler = xxzswap.fidelity._phase_values
+
+        def recording(mean, rows):
+            values = sampler(mean, rows)
+            yielded = []
+            samplers.append(yielded)
+
+            def recorded(rng, n):
+                for f in values(rng, n):
+                    yielded.append(f)
+                    yield f
+
+            return recorded
+
+        monkeypatch.setattr(xxzswap.fidelity, "_phase_values", recording)
+        for workers in WORKER_COUNTS:
+            use_cpus(monkeypatch, workers)
+            samplers.clear()
+            fidelity_grid([0.0, 0.7], [0.4, 2.5], samples=3 * CHUNK_SAMPLES + 1234)
+            assert len(samplers) == workers
+            assert sum(len(yielded) for yielded in samplers) == 4 * 4
+            for yielded in samplers:
+                assert all(np.shares_memory(f, yielded[0]) for f in yielded)
 
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
     @pytest.mark.parametrize(

@@ -185,6 +185,21 @@ class TestVerifySwap:
         assert verify_swap(plan, seed=2**128 - 1).passed
         assert verify_swap(plan, seed=np.int64(7)) == verify_swap(plan, seed=7)
 
+    def test_state_count_validated(self):
+        plan = solve_schedule(2, 1, 1.0)
+        schedule = PulseSchedule.constant(plan.params, plan.tau)
+        for n_states in (True, 2.5, "3", None):
+            with pytest.raises(ValidationError, match="n_states must be an integer"):
+                verify_swap(plan, n_states=n_states)
+            with pytest.raises(ValidationError, match="n_states must be an integer"):
+                verify_schedule(schedule, plan.kind, n_states=n_states)
+        for report in (
+            verify_swap(plan, n_states=np.int64(5)),
+            verify_schedule(schedule, plan.kind, n_states=np.int64(5)),
+        ):
+            assert report == verify_swap(plan, n_states=5)
+            assert type(report.states_checked) is int
+
     def test_report_is_reproducible(self):
         a = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
         b = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
