@@ -28,7 +28,7 @@ import numpy as np
 
 from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, check_real
 from .fidelity import FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _partial_trace, _product
@@ -139,32 +139,33 @@ def cmd_fidelity_sweep(args) -> int:
     seed = _resolve_seed(args)
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
-    if not (math.isfinite(args.max_xz) and math.isfinite(args.max_h)):  # or linspace warns
-        raise ValidationError("--max-xz and --max-h must be finite")
-    xz = np.linspace(0.0, args.max_xz, args.points)
-    h = np.linspace(0.0, args.max_h, args.points)
+    # checked before linspace, which warns on a non-finite end
+    xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz"), args.points)
+    h = np.linspace(0.0, check_real(args.max_h, "--max-h"), args.points)
     rows = fidelity_grid(xz, h, samples=args.samples, seed=seed)
     _write_table(rows, FidelityGridRow, args.format, args.output)
     return EXIT_OK
 
 
+def _json_object(value, keys, where: str) -> list:
+    """The members of ``value``, a JSON object with exactly the ``keys``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ValidationError(f"{where}.{key}: unknown key (expected one of {keys})")
+    for key in keys:
+        if key not in value:
+            raise ValidationError(f"{where}.{key}: missing required key")
+    return [value[key] for key in keys]
+
+
 def _build_from_config(cls, mapping, where: str):
-    if not isinstance(mapping, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(mapping).__name__}")
     names = [f.name for f in dataclasses.fields(cls)]
-    for key in mapping:
-        if key not in names:
-            raise ValidationError(f"{where}.{key}: unknown field (expected one of {names})")
-    kwargs = {}
-    for name in names:
-        if name not in mapping:
-            raise ValidationError(f"{where}.{name}: missing required field")
-        value = mapping[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{where}.{name}: expected a number, got {value!r}")
-        kwargs[name] = float(value)
+    members = zip(names, _json_object(mapping, names, where))
+    values = [check_real(value, f"{where}.{name}") for name, value in members]
     try:
-        return cls(**kwargs)
+        return cls(*values)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -178,25 +179,16 @@ def _load_device_config(path: str):
         raise ValidationError(f"cannot read config {path!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad bytes, long integers, deep nesting
         raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError("config root must be an object with dot_i, dot_j, coupling")
-    for key in ("dot_i", "dot_j", "coupling"):
-        if key not in data:
-            raise ValidationError(f"{key}: missing required section")
-    for key in data:
-        if key not in ("dot_i", "dot_j", "coupling"):
-            raise ValidationError(f"{key}: unknown section")
-    dot_i = _build_from_config(DotSpec, data["dot_i"], "dot_i")
-    dot_j = _build_from_config(DotSpec, data["dot_j"], "dot_j")
-    coupling = _build_from_config(CouplingSpec, data["coupling"], "coupling")
-    return dot_i, dot_j, coupling
+    keys = ["dot_i", "dot_j", "coupling"]
+    sections = zip((DotSpec, DotSpec, CouplingSpec), _json_object(data, keys, "config"), keys)
+    return tuple(_build_from_config(*section) for section in sections)
 
 
 def cmd_pseudospin_map(args) -> int:
-    dot_i, dot_j, coupling = _load_device_config(args.config)
-    effective = effective_params(dot_i, dot_j, coupling)
     if (args.m is None) != (args.n is None):
         raise ValidationError("--m and --n must be given together")
+    dot_i, dot_j, coupling = _load_device_config(args.config)
+    effective = effective_params(dot_i, dot_j, coupling)
     # map before printing anything, so a rejected input leaves no partial output
     result = None
     if args.m is not None:

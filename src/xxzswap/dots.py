@@ -19,8 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import SingularityError, ValidationError, check_finite
-from .swaps import SwapPlan, _check_integer_pair, _check_tolerance, solve_schedule
+from .errors import SingularityError, ValidationError, check_finite, check_real
+from .swaps import SwapPlan, _check_integer_pair, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
 MIXING_WARN_THRESHOLD = 0.3
@@ -36,9 +36,8 @@ class DotSpec:
     g_times_b: float          # g * mu_B * b, kept for inhomogeneity ratios
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.hbar_omega0 <= 0.0:
-            raise ValidationError(f"hbar_omega0 must be positive, got {self.hbar_omega0!r}")
+        check_finite(self, ["hbar_omega0"], "positive")
+        check_finite(self, ["zeeman_z", "gradient_coupling", "g_times_b"])
         if abs(self.zeeman_z) + abs(self.gradient_coupling) >= self.hbar_omega0:
             raise ValidationError(
                 "field terms must stay below the orbital quantum: "
@@ -56,10 +55,11 @@ class DotSpec:
         The confinement length L = sqrt(2 / (mass * omega0)) converts the raw
         gradient coupling g mu_B b into the matrix-element product g mu_B b L.
         """
-        if mass <= 0.0 or omega0 <= 0.0:
-            raise ValidationError("mass and omega0 must be positive")
+        mass = check_real(mass, "mass", "positive")
+        omega0 = check_real(omega0, "omega0", "positive")
+        gradient = check_real(g_mu_b_gradient, "g_mu_b_gradient")
         length = math.sqrt(2.0 / (mass * omega0))
-        return cls(omega0, g_mu_b_b0, g_mu_b_gradient * length, g_mu_b_gradient)
+        return cls(omega0, g_mu_b_b0, gradient * length, gradient)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def map_to_swap(
     the residuals quantify how far the device parameters sit from it.
     """
     m, n = _check_integer_pair(m, n)
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_real(tolerance, "tolerance", "nonnegative")
     if (m - n) % 2 == 0:
         raise ValidationError("|m - n| must be odd for a swap; even pairs return each qubit to itself")
     required_delta = (m + n) / (m - n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_finite, check_real
 from .states import QubitAmplitudes, TwoQubitPureState
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -59,10 +59,7 @@ class Segment:
     duration: float
 
     def __post_init__(self) -> None:
-        d = float(self.duration)
-        if not (math.isfinite(d) and d > 0.0):
-            raise ValidationError(f"segment duration must be positive, got {d!r}")
-        object.__setattr__(self, "duration", d)
+        check_finite(self, ["duration"], "positive")
 
 
 @dataclass(frozen=True)
@@ -167,8 +164,8 @@ def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
     of 1e-12 absorbs rounding in summed segment durations.
     """
     total = schedule.total_duration
-    t = float(t)
-    if not (math.isfinite(t) and -1e-12 <= t <= total + 1e-12):
+    t = check_real(t, "t")
+    if not -1e-12 <= t <= total + 1e-12:
         raise ValidationError(f"time {t!r} outside the schedule range [0, {total!r}]")
     remaining = min(max(t, 0.0), total)
     full = remaining == total  # consume every segment exactly, no subtraction noise
@@ -222,10 +219,7 @@ def dense_exponential_oracle(params: XxzParams, t: float) -> np.ndarray:
     Independent verification path for :func:`propagator_matrix`: it builds H
     from spin operators and never touches the phase-angle formulas.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
-    return _exponentials(params.J, params.Delta, params.Gamma, t)
+    return _exponentials(params.J, params.Delta, params.Gamma, check_real(t, "t"))
 
 
 def _exponentials(J, Delta, Gamma, t) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one field check of its
-frozen value types, and the one integer check."""
+"""Exception types shared across the package, the one real-number check and
+the field check built on it, and the one integer check."""
 
 import cmath
 import numbers
@@ -25,11 +25,24 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
-def check_finite(obj, names=None, cast=float) -> None:
-    """Coerce the named fields of the frozen dataclass ``obj`` (by default
-    all of them) with ``cast``, and reject any infinite or nan value."""
+def check_real(value, name: str, bound: str = "", cast=float):
+    """``value`` as a float: a finite real number, not a bool, that is > 0 or >= 0
+    where ``bound`` is "positive" or "nonnegative"; as a complex for ``cast=complex``."""
+    kind = numbers.Real if cast is float else numbers.Complex
+    if type(value) is not float and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ValidationError(f"{name} must be a {kind.__name__.lower()} number, got {value!r}")
+    try:
+        number = cast(value)
+    except OverflowError:  # an int beyond the float range
+        number = cast("inf")
+    in_bound = not bound or (number > 0.0 if bound == "positive" else number >= 0.0)
+    if not (cmath.isfinite(number) and in_bound):
+        requirement = f"finite and {bound}" if bound else "finite"
+        raise ValidationError(f"{name} must be {requirement}, got {number!r}")
+    return number
+
+
+def check_finite(obj, names=None, bound: str = "", cast=float) -> None:
+    """Set the named fields (all by default) of dataclass ``obj`` to their check_real values."""
     for name in names or [f.name for f in fields(obj)]:
-        value = cast(getattr(obj, name))
-        if not cmath.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name, check_real(getattr(obj, name), name, bound, cast))

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import PhaseTriple, propagator_matrix
-from .errors import ValidationError, check_finite, check_integer
+from .errors import ValidationError, check_finite, check_integer, check_real
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .swaps import SWAP_MATRIX
 
@@ -55,6 +55,10 @@ BLOCK = 1 << 13
 
 ENSEMBLE_MEASURES = ("haar_product", "uniform_angles")
 
+#: Largest fluctuation width the Monte Carlo estimators take: beyond it lambda * z
+#: overflows for normals of a few units, and the fidelity sampled there is nan.
+MC_LAMBDA_MAX = 1e300
+
 
 @dataclass(frozen=True)
 class FluctuationSpec:
@@ -69,11 +73,9 @@ class FluctuationSpec:
     mean_phases: PhaseTriple = field(default=SWAP_POINT)
 
     def __post_init__(self) -> None:
-        names = ("lambda_x", "lambda_z", "lambda_h")
-        check_finite(self, names)
-        for name in names:
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        check_finite(self, ["lambda_x", "lambda_z", "lambda_h"], "nonnegative")
+        if not isinstance(self.mean_phases, PhaseTriple):
+            raise ValidationError(f"mean_phases must be a PhaseTriple, got {self.mean_phases!r}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,11 @@ def average_fidelity_analytic(spec: FluctuationSpec) -> float:
     )
 
 
+def _check_mc_width(lam: float, name: str) -> None:
+    if lam > MC_LAMBDA_MAX:
+        raise ValidationError(f"{name} must be <= {MC_LAMBDA_MAX:g} for Monte Carlo, got {lam!r}")
+
+
 def _phase_values(mean: PhaseTriple, rows):
     """Sampler of the closed-form fidelity at Gaussian-fluctuating phases.
 
@@ -181,8 +188,10 @@ def average_fidelity_mc(
     Draws the three phases independently from their Gaussians, averages the
     closed-form fidelity, and reports the standard error of the mean.
     Bitwise reproducible for fixed (seed, samples) regardless of how the
-    fixed-size chunks are scheduled.
+    fixed-size chunks are scheduled; a width above ``MC_LAMBDA_MAX`` raises.
     """
+    for name in ("lambda_x", "lambda_z", "lambda_h"):
+        _check_mc_width(getattr(spec, name), name)
     rows = [(spec.lambda_x, spec.lambda_z, [spec.lambda_h])]
     return _estimate(partial(_phase_values, spec.mean_phases, rows), samples, seed)[0]
 
@@ -293,17 +302,16 @@ def fidelity_grid(
 
     Each row carries the closed-form average next to its Monte Carlo
     estimate, suitable for surface plots or regression against the closed
-    form. Axis grids must be nonempty, nonnegative, and nondecreasing.
+    form. Axis grids must be nonempty, nondecreasing and in [0, ``MC_LAMBDA_MAX``].
     """
-    xz = [float(v) for v in xz_values]
-    h = [float(v) for v in h_values]
+    xz = [check_real(v, "xz_values", "nonnegative") for v in xz_values]
+    h = [check_real(v, "h_values", "nonnegative") for v in h_values]
     for name, axis in (("xz_values", xz), ("h_values", h)):
         if not axis:
             raise ValidationError(f"{name} must be nonempty")
-        if any(v < 0.0 or not math.isfinite(v) for v in axis):
-            raise ValidationError(f"{name} must be finite and nonnegative")
         if any(b < a for a, b in zip(axis, axis[1:])):
             raise ValidationError(f"{name} must be nondecreasing")
+        _check_mc_width(axis[-1], name)
     specs = [FluctuationSpec(lam_xz, lam_xz, lam_h, mean_phases) for lam_xz in xz for lam_h in h]
     # every grid point is evaluated on the same chunk of normals
     sampler = partial(_phase_values, mean_phases, [(lam_xz, lam_xz, h) for lam_xz in xz])

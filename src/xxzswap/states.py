@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_finite, check_real
 
 #: Tolerance on unit norm / hermiticity enforced at construction.
 NORM_TOL = 1e-12
@@ -42,7 +42,8 @@ class QubitAmplitudes:
     @classmethod
     def normalized(cls, a0: complex, a1: complex) -> "QubitAmplitudes":
         """Rescale arbitrary amplitudes to unit norm."""
-        n = math.sqrt(_norm_sq(complex(a0), complex(a1)))
+        a0, a1 = check_real(a0, "a0", cast=complex), check_real(a1, "a1", cast=complex)
+        n = math.sqrt(_norm_sq(a0, a1))
         if n == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(a0 / n, a1 / n)
@@ -105,7 +106,7 @@ class QubitDensity:
     @classmethod
     def from_elements(cls, a00: complex, a01: complex, a11: complex) -> "QubitDensity":
         """Build from the upper triangle, filling a10 by hermiticity."""
-        return cls(a00, a01, complex(a01).conjugate(), a11)
+        return cls(a00, a01, check_real(a01, "a01", cast=complex).conjugate(), a11)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a00, self.a01], [self.a10, self.a11]])

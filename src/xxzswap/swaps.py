@@ -29,7 +29,7 @@ from .dynamics import (
     accumulate_phases,
     propagator_matrix,
 )
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_real
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _expectation, _partial_trace, _product
 
@@ -73,9 +73,7 @@ class SwapPlan:
 
     def __post_init__(self) -> None:
         m, n = _check_integer_pair(self.m, self.n)
-        tau = float(self.tau)
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise ValidationError(f"duration must be positive, got {tau!r}")
+        tau = check_real(self.tau, "tau", "positive")
         params = XxzParams(
             J=(m - n) * math.pi / tau,
             Delta=(m + n) / (m - n) + 0.0,  # normalize -0.0 for m + n = 0
@@ -216,7 +214,7 @@ def _verify_phases(
     n_states = check_integer(n_states, "n_states")
     if n_states < 0:
         raise ValidationError("n_states must be nonnegative")
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_real(tolerance, "tolerance", "nonnegative")
     seed = check_seed(seed)
     U = propagator_matrix(phases)
     trace_overlap, global_phase, max_entry_deviation = _compare_to_target(U, kind)
@@ -290,13 +288,6 @@ def _check_integer_pair(m, n) -> tuple[int, int]:
     if m == n:
         raise ValidationError("m = n leaves the 01/10 block unmixed; no swap solution")
     return int(m), int(n)
-
-
-def _check_tolerance(tolerance) -> float:
-    tolerance = float(tolerance)
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    return tolerance
 
 
 def _random_qubits(rng: np.random.Generator, count: int) -> np.ndarray:

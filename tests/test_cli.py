@@ -5,8 +5,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,11 +122,13 @@ class TestSwapSolve:
             SWEEP + ["--max-xz", "nan"],
             SWEEP + ["--max-h=-inf"],
             SWEEP + ["--max-h", "nan"],
+            SWEEP + ["--max-xz", "1e308", "--max-h", "1"],
+            SWEEP + ["--max-h", "1e301"],
         ],
         ids=[
             "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance",
             "m-beyond-float-range", "sweep-inf-max-xz", "sweep-nan-max-xz",
-            "sweep-inf-max-h", "sweep-nan-max-h",
+            "sweep-inf-max-h", "sweep-nan-max-h", "sweep-huge-max-xz", "sweep-huge-max-h",
         ],
     )
     def test_out_of_range_option_exit_usage(self, argv, capsys):
@@ -285,6 +291,14 @@ class TestFidelitySweep:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["f_analytic"]) == pytest.approx(7 / 15, abs=1e-12)
 
+    def test_widest_monte_carlo_extent_prints_finite_estimates(self, capsys):
+        # at the bound every sampled phase is finite; beyond it the sweep
+        # exits 2 (see test_out_of_range_option_exit_usage)
+        argv = ["fidelity-sweep", "--max-xz", "1e300", "--max-h", "1e300", "--points", "2"]
+        assert main(argv + ["--samples", "10"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert all(math.isfinite(float(row["f_mc"])) for row in rows)
+
 
 class TestPseudospinMap:
     def test_prints_effective_parameters(self, tmp_path, capsys):
@@ -332,6 +346,25 @@ class TestPseudospinMap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_unpaired_index_is_rejected_before_the_device_is_mapped(self, tmp_path):
+        # a strained device warns while it is mapped; in a fresh process the
+        # warnings would reach stderr, so stderr shows whether the mapper ran
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in ("dot_i", "dot_j"):
+            config[key].update(zeeman_z=0.2, gradient_coupling=0.5, g_times_b=0.5)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1"]
+        src = str(Path(cli.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "xxzswap.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --m and --n must be given together\n"
 
     def test_strained_device_warns_once_per_dot(self, tmp_path, capsys):
         config = json.loads(json.dumps(EXAMPLE_CONFIG))

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ class TestMonteCarloAverage:
     def test_far_tail_matches_analytic(self):
         est = average_fidelity_mc(FluctuationSpec(5, 5, 5), samples=10**6)
         assert abs(est.mean - analytic(5, 5, 5)) <= 3 * est.std_error
+
+    def test_widths_that_overflow_the_sampler_rejected(self):
+        # beyond the bound lambda * z overflows and the estimate is nan
+        for lambdas in ((1e308, 0, 0), (0, 1e301, 0), (0, 0, 1e301)):
+            with pytest.raises(ValidationError, match=r"<= 1e\+300"):
+                average_fidelity_mc(FluctuationSpec(*lambdas), samples=1)
+        with pytest.raises(ValidationError, match="h_values"):
+            fidelity_grid([0.0], [0.0, 1e301], samples=1)
+        est = average_fidelity_mc(FluctuationSpec(1e300, 1e300, 1e300), samples=1000)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+        # the closed form takes any finite width
+        assert average_fidelity_analytic(FluctuationSpec(1e308, 0, 0)) == 7 / 15
 
     def test_bitwise_reproducible(self):
         spec = FluctuationSpec(0.8, 1.2, 0.4)
@@ -702,9 +715,11 @@ class TestWorkers:
             average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples=3 * CHUNK_SAMPLES)
         assert len({ident for ident, _ in seen}) == workers
         assert [over for _, over in seen] == ["raise"] * 3
-        # lambda_x * z overflows in every full chunk
+        # lambda_x * z overflows in every full chunk; the public estimators
+        # reject this width, so the sampler is driven directly
+        sampler = partial(_phase_values, SWAP_POINT, [(1e308, 0.0, [0.0])])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            average_fidelity_mc(FluctuationSpec(1e308, 0.0, 0.0), samples=2 * CHUNK_SAMPLES + 1)
+            xxzswap.fidelity._estimate(sampler, 2 * CHUNK_SAMPLES + 1, 7)
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_worker_stops_the_others(self, monkeypatch, failing):

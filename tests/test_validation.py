@@ -1,0 +1,130 @@
+"""Every real scalar the library takes from a caller passes the one check in
+``errors.check_real``: a value that is not a finite real number, or that
+misses the bound its argument carries, raises ``ValidationError`` naming
+that argument."""
+
+import math
+
+import numpy as np
+import pytest
+
+from xxzswap import (
+    CouplingSpec,
+    DotSpec,
+    FluctuationSpec,
+    PhaseTriple,
+    PulseSchedule,
+    QubitAmplitudes,
+    Segment,
+    ValidationError,
+    XxzParams,
+    accumulate_phases,
+    average_fidelity_analytic,
+    dense_exponential_oracle,
+    effective_params,
+    fidelity_grid,
+    map_to_swap,
+    solve_schedule,
+    verify_swap,
+)
+from xxzswap.errors import check_real
+
+PARAMS = XxzParams(1.0, 1.0, 1.0)
+DOT = dict(hbar_omega0=1.0, zeeman_z=0.2, gradient_coupling=0.1, g_times_b=0.05)
+COUPLING = dict(U=1.0, V=0.5, t00=0.05, t11=0.05, t12=0.02)
+CONFINEMENT = dict(mass=2.0, omega0=1.0, g_mu_b_b0=0.2, g_mu_b_gradient=0.1)
+
+
+def effective():
+    return effective_params(DotSpec(**DOT), DotSpec(**DOT), CouplingSpec(**COUPLING))
+
+
+def fields(cls, base, name):
+    return lambda v: cls(**dict(base, **{name: v}))
+
+
+# (argument, call with the value in that argument's place, whether it carries
+# a sign bound): each call is valid at the argument's base value
+TARGETS = [
+    ("tau", lambda v: solve_schedule(2, 1, v), True),
+    ("tolerance", lambda v: verify_swap(solve_schedule(2, 1, 1.0), tolerance=v), True),
+    ("tolerance", lambda v: map_to_swap(effective(), 1, 0, tolerance=v), True),
+    ("duration", lambda v: Segment(PARAMS, v), True),
+    ("t", lambda v: accumulate_phases(PulseSchedule.constant(PARAMS, 2.0), v), True),
+    ("t", lambda v: dense_exponential_oracle(PARAMS, v), False),
+    *(
+        (name, fields(FluctuationSpec, dict(lambda_x=0, lambda_z=0, lambda_h=0), name), True)
+        for name in ("lambda_x", "lambda_z", "lambda_h")
+    ),
+    ("xz_values", lambda v: fidelity_grid([0.0, v], [0.0], samples=1), True),
+    ("h_values", lambda v: fidelity_grid([0.0], [v], samples=1), True),
+    *(
+        (name, fields(XxzParams, dict(J=1, Delta=1, Gamma=1), name), False)
+        for name in ("J", "Delta", "Gamma")
+    ),
+    *(
+        (name, fields(PhaseTriple, dict(phi_x=0, phi_z=0, phi_h=0), name), False)
+        for name in ("phi_x", "phi_z", "phi_h")
+    ),
+    ("hbar_omega0", fields(DotSpec, DOT, "hbar_omega0"), True),
+    *(
+        (name, fields(DotSpec, DOT, name), False)
+        for name in ("zeeman_z", "gradient_coupling", "g_times_b")
+    ),
+    ("mass", fields(DotSpec.from_confinement, CONFINEMENT, "mass"), True),
+    ("omega0", fields(DotSpec.from_confinement, CONFINEMENT, "omega0"), True),
+    ("g_mu_b_gradient", fields(DotSpec.from_confinement, CONFINEMENT, "g_mu_b_gradient"), False),
+    *((name, fields(CouplingSpec, COUPLING, name), False) for name in COUPLING),
+    ("a0", fields(QubitAmplitudes, dict(a0=1, a1=0), "a0"), False),
+    ("a1", fields(QubitAmplitudes, dict(a0=0, a1=1), "a1"), False),
+]
+
+BAD_VALUES = {
+    "none": None,
+    "str": "1",
+    "bool": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "beyond-float-range": 10**400,
+}
+
+CASES = [
+    pytest.param(call, value, id=f"{name}-{tag}")
+    for name, call, bounded in TARGETS
+    for tag, value in [*BAD_VALUES.items(), *([("negative", -1)] if bounded else [])]
+]
+
+
+@pytest.mark.parametrize("call, value", CASES)
+def test_invalid_scalar_raises_validation_error(call, value):
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "name, call", [(name, call) for name, call, _ in TARGETS], ids=[name for name, _, _ in TARGETS]
+)
+def test_error_names_the_argument(name, call):
+    with pytest.raises(ValidationError, match=name):
+        call(None)
+
+
+def test_numpy_scalars_and_integers_are_accepted_as_floats():
+    for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        number = check_real(value, "x", "positive")
+        assert type(number) is float and number == 2.0
+    assert check_real(np.complex128(1j), "x", cast=complex) == 1j
+    with pytest.raises(ValidationError, match="real number"):
+        check_real(1j, "x")
+    with pytest.raises(ValidationError, match="complex number"):
+        check_real(np.bool_(True), "x", cast=complex)
+    assert check_real(0.0, "x", "nonnegative") == 0.0
+    with pytest.raises(ValidationError, match="finite and positive"):
+        check_real(0.0, "x", "positive")
+
+
+def test_mean_phases_must_be_a_phase_triple():
+    # a tuple used to be stored, and failed only when the average read it
+    with pytest.raises(ValidationError, match="mean_phases"):
+        FluctuationSpec(1, 1, 1, (0, 0, 0))
+    assert average_fidelity_analytic(FluctuationSpec(1, 1, 1, PhaseTriple(0, 0, 0))) < 1.0
