@@ -28,7 +28,7 @@ import numpy as np
 
 from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
-from .errors import SingularityError, ValidationError, check_real
+from .errors import SingularityError, ValidationError, check_integer, check_real
 from .fidelity import FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _partial_trace, _product
@@ -65,27 +65,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    # floats pass through the same 12-digit formatting as CSV so the two
-    # output modes parse back to identical numbers
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, (int, str)):
-        return value
-    return str(value)
-
-
 def _write_table(rows, row_type, fmt: str, path: str | None) -> None:
     # the header comes from the row type, so an empty table still has one
     columns = [f.name for f in dataclasses.fields(row_type)]
+    table = [[getattr(row, c) for c in columns] for row in rows]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(getattr(row, c)) for c in columns) for row in rows)
+        lines = [",".join(columns), *(",".join(map(_fmt, values)) for values in table)]
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: _json_value(getattr(row, c)) for c in columns} for row in rows]
+        # floats keep the CSV's digits, so the two formats parse back to identical numbers
+        payload = [
+            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(columns, values)}
+            for values in table
+        ]
         text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -137,11 +129,10 @@ def cmd_delta_scan(args) -> int:
 
 def cmd_fidelity_sweep(args) -> int:
     seed = _resolve_seed(args)
-    if args.points < 1:
-        raise ValidationError("--points must be >= 1")
+    points = check_integer(args.points, "--points", "positive")
     # checked before linspace, which warns on a non-finite end
-    xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz"), args.points)
-    h = np.linspace(0.0, check_real(args.max_h, "--max-h"), args.points)
+    xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz"), points)
+    h = np.linspace(0.0, check_real(args.max_h, "--max-h"), points)
     rows = fidelity_grid(xz, h, samples=args.samples, seed=seed)
     _write_table(rows, FidelityGridRow, args.format, args.output)
     return EXIT_OK
@@ -231,11 +222,10 @@ def _worst(deviations, rng: np.random.Generator, cases: int) -> float:
 
 def cmd_verify_dynamics(args) -> int:
     seed = _resolve_seed(args)
-    if args.cases < 1:
-        raise ValidationError("--cases must be >= 1")
+    cases = check_integer(args.cases, "--cases", "positive")
     rng = stream(seed, 0)
     # every propagator case is drawn before the first determinant case
-    propagator_cases, determinant_cases = args.cases, 2 * args.cases
+    propagator_cases, determinant_cases = cases, 2 * cases
     worst_propagator = _worst(_propagator_deviations, rng, propagator_cases)
     worst_determinant = _worst(_determinant_deviations, rng, determinant_cases)
 

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import SingularityError, ValidationError, check_finite, check_real
-from .swaps import SwapPlan, _check_integer_pair, solve_schedule
+from .swaps import SwapKind, SwapPlan, _check_integer_pair, classify_outcome, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
 MIXING_WARN_THRESHOLD = 0.3
@@ -58,7 +58,10 @@ class DotSpec:
         mass = check_real(mass, "mass", "positive")
         omega0 = check_real(omega0, "omega0", "positive")
         gradient = check_real(g_mu_b_gradient, "g_mu_b_gradient")
-        length = math.sqrt(2.0 / (mass * omega0))
+        product = mass * omega0
+        if product == 0.0:  # both positive, but the product underflows
+            raise ValidationError(f"mass * omega0 is 0: mass = {mass!r}, omega0 = {omega0!r}")
+        length = math.sqrt(2.0 / product)
         return cls(omega0, g_mu_b_b0, gradient * length, gradient)
 
 
@@ -273,7 +276,7 @@ def map_to_swap(
     """
     m, n = _check_integer_pair(m, n)
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
-    if (m - n) % 2 == 0:
+    if classify_outcome(m, n) is not SwapKind.SWAP:
         raise ValidationError("|m - n| must be odd for a swap; even pairs return each qubit to itself")
     required_delta = (m + n) / (m - n)
     failures: list[str] = []

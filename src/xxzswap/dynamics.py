@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite, check_real
+from .errors import ValidationError, check_finite, check_real, check_type
 from .states import QubitAmplitudes, TwoQubitPureState
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -59,6 +59,7 @@ class Segment:
     duration: float
 
     def __post_init__(self) -> None:
+        check_type(self.params, XxzParams, "params")
         check_finite(self, ["duration"], "positive")
 
 
@@ -73,7 +74,7 @@ class PulseSchedule:
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        segs = tuple(self.segments)
+        segs = tuple(check_type(s, Segment, f"segments[{k}]") for k, s in enumerate(self.segments))
         if not segs:
             raise ValidationError("schedule must contain at least one segment")
         d0 = segs[0].params.Delta
@@ -92,10 +93,6 @@ class PulseSchedule:
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
-
-    @property
-    def Delta(self) -> float:
-        return self.segments[0].params.Delta
 
 
 @dataclass(frozen=True)
@@ -196,6 +193,7 @@ def propagator_matrix(phases: PhaseTriple) -> np.ndarray:
     phase phi_z/4. Stacked amplitudes ``psi`` of shape (..., 4) evolve as
     ``psi @ propagator_matrix(phases).T``.
     """
+    check_type(phases, PhaseTriple, "phases")
     return _propagators(phases.phi_x, phases.phi_z, phases.phi_h)
 
 

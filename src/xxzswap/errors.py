@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one real-number check and
-the field check built on it, and the one integer check."""
+the field check built on it, the one integer check, and the one type check."""
 
 import cmath
 import numbers
@@ -18,11 +18,26 @@ class SingularityError(ArithmeticError):
     """
 
 
-def check_integer(value, name: str) -> int:
-    """``value`` as an int; bools and non-integral numbers are rejected."""
+def _in_bound(number, bound: str) -> bool:
+    return not bound or (number > 0 if bound == "positive" else number >= 0)
+
+
+def check_integer(value, name: str, bound: str = "") -> int:
+    """``value`` as an int: an integer, not a bool, that is > 0 or >= 0 where
+    ``bound`` is "positive" or "nonnegative"."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    number = int(value)
+    if not _in_bound(number, bound):
+        raise ValidationError(f"{name} must be {bound}, got {number!r}")
+    return number
+
+
+def check_type(value, cls, name: str):
+    """``value``, if it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def check_real(value, name: str, bound: str = "", cast=float):
@@ -35,8 +50,7 @@ def check_real(value, name: str, bound: str = "", cast=float):
         number = cast(value)
     except OverflowError:  # an int beyond the float range
         number = cast("inf")
-    in_bound = not bound or (number > 0.0 if bound == "positive" else number >= 0.0)
-    if not (cmath.isfinite(number) and in_bound):
+    if not (cmath.isfinite(number) and _in_bound(number, bound)):
         requirement = f"finite and {bound}" if bound else "finite"
         raise ValidationError(f"{name} must be {requirement}, got {number!r}")
     return number

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import PhaseTriple, propagator_matrix
-from .errors import ValidationError, check_finite, check_integer, check_real
+from .errors import ValidationError, check_finite, check_integer, check_real, check_type
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .swaps import SWAP_MATRIX
 
@@ -74,8 +74,7 @@ class FluctuationSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, ["lambda_x", "lambda_z", "lambda_h"], "nonnegative")
-        if not isinstance(self.mean_phases, PhaseTriple):
-            raise ValidationError(f"mean_phases must be a PhaseTriple, got {self.mean_phases!r}")
+        check_type(self.mean_phases, PhaseTriple, "mean_phases")
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,14 @@ class McEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.samples <= 0:
-            raise ValidationError("sample count must be positive")
+        check_integer(self.samples, "samples", "positive")
         if self.std_error < 0.0:
             raise ValidationError("standard error cannot be negative")
 
 
 def gate_fidelity(phases: PhaseTriple) -> float:
     """Closed-form swap-gate fidelity at the given accumulated phases."""
+    check_type(phases, PhaseTriple, "phases")
     phi_x, half_z, phi_h = np.array([[phases.phi_x], [phases.phi_z], [phases.phi_h]])
     base, slope = np.empty((2, 1))
     _exchange_terms(phi_x, half_z, base, slope)
@@ -125,6 +124,7 @@ def _fidelity_values(
 
 def average_fidelity_analytic(spec: FluctuationSpec) -> float:
     """Gaussian-averaged gate fidelity at any mean phases, in closed form."""
+    check_type(spec, FluctuationSpec, "spec")
     # products saturate to inf where ** would raise OverflowError
     lx2 = spec.lambda_x * spec.lambda_x
     lz2 = spec.lambda_z * spec.lambda_z
@@ -190,6 +190,7 @@ def average_fidelity_mc(
     Bitwise reproducible for fixed (seed, samples) regardless of how the
     fixed-size chunks are scheduled; a width above ``MC_LAMBDA_MAX`` raises.
     """
+    check_type(spec, FluctuationSpec, "spec")
     for name in ("lambda_x", "lambda_z", "lambda_h"):
         _check_mc_width(getattr(spec, name), name)
     rows = [(spec.lambda_x, spec.lambda_z, [spec.lambda_h])]
@@ -223,6 +224,7 @@ def state_ensemble_fidelity(
     exactly 1/3 and the uniform-angles average 11/32, while the closed form
     gives 1/5. Report both values side by side rather than forcing agreement.
     """
+    check_type(phases, PhaseTriple, "phases")
     if measure not in ENSEMBLE_MEASURES:
         raise ValidationError(
             f"unknown measure {measure!r}; expected one of {ENSEMBLE_MEASURES}"
@@ -363,9 +365,7 @@ def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
     is raised in the caller. The chunks are reduced in index order, so the
     result does not depend on the worker count.
     """
-    samples, seed = check_integer(samples, "samples"), check_seed(seed)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples, seed = check_integer(samples, "samples", "positive"), check_seed(seed)
     count = (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     workers = min(_cpus(), count)
     chunks = [None] * count

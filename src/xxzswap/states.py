@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite, check_real
+from .errors import ValidationError, check_finite, check_integer, check_real
 
 #: Tolerance on unit norm / hermiticity enforced at construction.
 NORM_TOL = 1e-12
@@ -75,10 +75,6 @@ class TwoQubitPureState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.c00, self.c01, self.c10, self.c11])
 
-    def overlap(self, other: "TwoQubitPureState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.as_vector(), other.as_vector()))
-
 
 @dataclass(frozen=True)
 class QubitDensity:
@@ -136,7 +132,7 @@ def make_product_state(alpha: QubitAmplitudes, beta: QubitAmplitudes) -> TwoQubi
 
 def reduce_to_qubit(state: TwoQubitPureState, which: int) -> QubitDensity:
     """Partial trace of a pure state: ``which`` = 0 keeps qubit i, 1 keeps j."""
-    if which not in (0, 1):
+    if check_integer(which, "which") not in (0, 1):
         raise ValidationError("qubit index must be 0 (qubit i) or 1 (qubit j)")
     rho = _partial_trace(state.as_vector(), which)
     return QubitDensity.from_elements(rho[0, 0], rho[0, 1], rho[1, 1])

@@ -29,7 +29,7 @@ from .dynamics import (
     accumulate_phases,
     propagator_matrix,
 )
-from .errors import ValidationError, check_integer, check_real
+from .errors import ValidationError, check_integer, check_real, check_type
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _expectation, _partial_trace, _product
 
@@ -49,9 +49,9 @@ class SwapKind(str, Enum):
     SWAP = "swap"
     RETURN_TO_SELF = "return_to_self"
 
-
-def _kind_for(m: int, n: int) -> SwapKind:
-    return SwapKind.SWAP if (m - n) % 2 else SwapKind.RETURN_TO_SELF
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"kind must be one of {[k.value for k in cls]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,9 @@ class SwapPlan:
             Delta=(m + n) / (m - n) + 0.0,  # normalize -0.0 for m + n = 0
             Gamma=n * math.pi / tau,
         )
-        derived = {"m": m, "n": n, "tau": tau, "params": params, "kind": _kind_for(m, n)}
+        derived = {"m": m, "n": n, "tau": tau, "params": params, "kind": classify_outcome(m, n)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def Delta(self) -> float:
-        return self.params.Delta
 
     @property
     def delta_at_least_one(self) -> bool:
@@ -138,7 +134,8 @@ def classify_outcome(m: int, n: int) -> SwapKind:
     2 pi n at the designed operating point phi_h = n pi, so no observable
     relative phase remains.
     """
-    return _kind_for(*_check_integer_pair(m, n))
+    m, n = _check_integer_pair(m, n)
+    return SwapKind.SWAP if (m - n) % 2 else SwapKind.RETURN_TO_SELF
 
 
 def is_swap_point(phases: PhaseTriple) -> bool:
@@ -148,6 +145,7 @@ def is_swap_point(phases: PhaseTriple) -> bool:
     Each residual may reach ``PHASE_MATCH_TOL``, or ``PHASE_SUM_TOL`` times
     its target where that is larger.
     """
+    check_type(phases, PhaseTriple, "phases")
     d = round(phases.phi_x / math.pi)
     n = round(phases.phi_h / math.pi)
     targets = (d * math.pi, (2 * n + d) * math.pi, n * math.pi)
@@ -179,12 +177,13 @@ def verify_swap(
 
 def verify_schedule(
     schedule: PulseSchedule,
-    kind: SwapKind,
+    kind: SwapKind | str,
     tolerance: float = 1e-10,
     n_states: int = 50,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Verify an arbitrary schedule against the swap (or identity) target.
+    """Verify an arbitrary schedule against the swap (or identity) target
+    ``kind``, a :class:`SwapKind` or its string value.
 
     Accepts schedules that miss the phase conditions, for example detuned
     ones; those simply fail, with the deviation quantified in the report.
@@ -206,14 +205,13 @@ def _compare_to_target(U: np.ndarray, kind: SwapKind) -> tuple[float, float, flo
 
 def _verify_phases(
     phases: PhaseTriple,
-    kind: SwapKind,
+    kind: SwapKind | str,
     tolerance: float,
     n_states: int,
     seed: int,
 ) -> VerificationReport:
-    n_states = check_integer(n_states, "n_states")
-    if n_states < 0:
-        raise ValidationError("n_states must be nonnegative")
+    kind = SwapKind(kind)
+    n_states = check_integer(n_states, "n_states", "nonnegative")
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
     seed = check_seed(seed)
     U = propagator_matrix(phases)
@@ -276,7 +274,7 @@ def delta_feasibility_scan(
                 continue
             plan = solve_schedule(m, n, tau)
             overlap, phase, _ = _compare_to_target(propagator_matrix(plan.phases()), plan.kind)
-            rows.append(ScanRow(m, n, plan.Delta, plan.kind, overlap, phase))
+            rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))
     rows.sort(key=lambda r: (r.delta, r.m, r.n))
     return rows
 

@@ -107,6 +107,20 @@ class TestSwapSolve:
     def test_nonpositive_duration_exit_usage(self, capsys):
         assert main(["swap-solve", "--m", "2", "--n", "1", "--tau", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["fidelity-sweep", "--points", "0", "--samples", "10"], "--points"),
+            (["fidelity-sweep", "--points", "2", "--samples", "0"], "samples"),
+            (["verify-dynamics", "--cases", "0"], "--cases"),
+        ],
+    )
+    def test_count_below_one_exit_usage(self, argv, option, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be positive, got 0\n"
+
     SOLVE = ["swap-solve", "--m", "2", "--n", "1", "--tau", "1"]
     SWEEP = ["fidelity-sweep", "--points", "2", "--samples", "10"]
 
@@ -418,6 +432,16 @@ class TestPseudospinMap:
         err = capsys.readouterr().err
         assert code == 4
         assert "resonance" in err
+
+    def test_zero_gradient_in_dot_i_exit_singular(self, tmp_path, capsys):
+        # f_- stays nonzero, so the ratio g_j b_j / g_i b_i is needed and undefined
+        config = dict(EXAMPLE_CONFIG)
+        config["dot_i"] = dict(config["dot_i"], g_times_b=0.0)
+        code = main(["pseudospin-map", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "inhomogeneity ratio" in captured.err
 
     def test_overflowing_gap_exit_usage(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)

@@ -124,6 +124,11 @@ class TestPerturbedLevels:
         assert dot.gradient_coupling == pytest.approx(0.1 * math.sqrt(2.0 / 2.0))
         assert dot.g_times_b == 0.1
 
+    def test_from_confinement_rejects_an_underflowing_length_scale(self):
+        # both are positive, but mass * omega0 underflows to 0
+        with pytest.raises(ValidationError, match="mass .* omega0"):
+            DotSpec.from_confinement(1e-200, 1e-200, 0.0, 0.0)
+
 
 EXAMPLE_COUPLING = CouplingSpec(U=1.0, V=0.5, t00=0.05, t11=0.05, t12=0.02)
 
@@ -247,6 +252,11 @@ class TestEffectiveParams:
         coupling = CouplingSpec(U=1.0, V=0.5, t00=0.0, t11=0.05, t12=0.02)
         with pytest.raises(SingularityError, match="tunneling product"):
             effective_params(dot, dot, coupling)
+
+    def test_zero_gradient_in_dot_i_with_nonzero_f_minus_raises(self):
+        dot_i = DotSpec(**dict(EXAMPLE_DOT, g_times_b=0.0))
+        with pytest.raises(SingularityError, match="inhomogeneity ratio"):
+            effective_params(dot_i, DotSpec(**EXAMPLE_DOT), EXAMPLE_COUPLING)
 
     def test_coupling_validation(self):
         with pytest.raises(ValidationError, match="U and V"):

@@ -120,6 +120,13 @@ class TestReduceToQubit:
         with pytest.raises(ValidationError, match="qubit index"):
             reduce_to_qubit(TwoQubitPureState(1, 0, 0, 0), 2)
 
+    def test_index_must_be_an_integer(self):
+        state = TwoQubitPureState(1, 0, 0, 0)
+        for which in (True, 1.0, None):
+            with pytest.raises(ValidationError, match="which must be an integer"):
+                reduce_to_qubit(state, which)
+        assert reduce_to_qubit(state, np.int64(1)) == reduce_to_qubit(state, 1)
+
 
 class TestPurityDeterminant:
     def test_pure_state(self):
@@ -163,6 +170,10 @@ class TestPurityDeterminant:
             QubitDensity.from_elements(0.9, 0.0, 0.3)
         with pytest.raises(ValidationError, match="eigenvalue"):
             QubitDensity.from_elements(0.5, 0.6, 0.5)
+
+    def test_complex_diagonal_rejected(self):
+        with pytest.raises(ValidationError, match="diagonal must be real"):
+            QubitDensity(0.5 + 0.1j, 0.0, 0.0, 0.5 - 0.1j)
 
 
 class TestMatrixIdentity:

@@ -200,6 +200,24 @@ class TestVerifySwap:
             assert report == verify_swap(plan, n_states=5)
             assert type(report.states_checked) is int
 
+    def test_negative_state_count_rejected(self):
+        plan = solve_schedule(2, 1, 1.0)
+        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
+            verify_swap(plan, n_states=-1)
+        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
+            verify_schedule(plan.schedule(), plan.kind, n_states=-1)
+        assert verify_swap(plan, n_states=0).states_checked == 0
+
+    def test_kind_may_be_its_string_value(self):
+        for plan in (solve_schedule(2, 1, 1.0), solve_schedule(3, 1, 1.0)):
+            report = verify_schedule(plan.schedule(), plan.kind.value)
+            assert report == verify_schedule(plan.schedule(), plan.kind) == verify_swap(plan)
+            assert report.passed
+        assert SwapKind("swap") is SwapKind.SWAP
+        for kind in ("bogus", "SWAP"):
+            with pytest.raises(ValidationError, match="kind must be one of"):
+                verify_schedule(plan.schedule(), kind)
+
     def test_report_is_reproducible(self):
         a = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
         b = verify_swap(solve_schedule(2, 1, 1.0), seed=7)

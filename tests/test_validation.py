@@ -1,7 +1,8 @@
 """Every real scalar the library takes from a caller passes the one check in
-``errors.check_real``: a value that is not a finite real number, or that
-misses the bound its argument carries, raises ``ValidationError`` naming
-that argument."""
+``errors.check_real``, every count the one check in ``errors.check_integer``,
+and every value object the one check in ``errors.check_type``: a value of the
+wrong kind, or one that misses the bound its argument carries, raises
+``ValidationError`` naming that argument."""
 
 import math
 
@@ -20,16 +21,24 @@ from xxzswap import (
     XxzParams,
     accumulate_phases,
     average_fidelity_analytic,
+    average_fidelity_mc,
     dense_exponential_oracle,
     effective_params,
     fidelity_grid,
+    gate_fidelity,
+    is_swap_point,
     map_to_swap,
+    propagator_matrix,
     solve_schedule,
+    state_ensemble_fidelity,
+    verify_schedule,
     verify_swap,
 )
 from xxzswap.errors import check_real
 
 PARAMS = XxzParams(1.0, 1.0, 1.0)
+PLAN = solve_schedule(2, 1, 1.0)
+ORIGIN = PhaseTriple(0.0, 0.0, 0.0)
 DOT = dict(hbar_omega0=1.0, zeeman_z=0.2, gradient_coupling=0.1, g_times_b=0.05)
 COUPLING = dict(U=1.0, V=0.5, t00=0.05, t11=0.05, t12=0.02)
 CONFINEMENT = dict(mass=2.0, omega0=1.0, g_mu_b_b0=0.2, g_mu_b_gradient=0.1)
@@ -77,6 +86,16 @@ TARGETS = [
     *((name, fields(CouplingSpec, COUPLING, name), False) for name in COUPLING),
     ("a0", fields(QubitAmplitudes, dict(a0=1, a1=0), "a0"), False),
     ("a1", fields(QubitAmplitudes, dict(a0=0, a1=1), "a1"), False),
+    # value objects and kinds: no scalar is one
+    ("params", lambda v: Segment(v, 1.0), False),
+    ("segments", lambda v: PulseSchedule((Segment(PARAMS, 1.0), v)), False),
+    ("phases", propagator_matrix, False),
+    ("phases", gate_fidelity, False),
+    ("phases", is_swap_point, False),
+    ("phases", lambda v: state_ensemble_fidelity(v, "haar_product", samples=1), False),
+    ("spec", average_fidelity_analytic, False),
+    ("spec", lambda v: average_fidelity_mc(v, samples=1), False),
+    ("kind", lambda v: verify_schedule(PLAN.schedule(), v, n_states=1), False),
 ]
 
 BAD_VALUES = {
@@ -121,6 +140,26 @@ def test_numpy_scalars_and_integers_are_accepted_as_floats():
     assert check_real(0.0, "x", "nonnegative") == 0.0
     with pytest.raises(ValidationError, match="finite and positive"):
         check_real(0.0, "x", "positive")
+
+
+# (argument, call with the count in that argument's place, its bound)
+COUNTS = [
+    ("samples", lambda v: average_fidelity_mc(FluctuationSpec(0, 0, 0), samples=v), "positive"),
+    ("samples", lambda v: state_ensemble_fidelity(ORIGIN, "haar_product", samples=v), "positive"),
+    ("n_states", lambda v: verify_swap(PLAN, n_states=v), "nonnegative"),
+    ("n_states", lambda v: verify_schedule(PLAN.schedule(), "swap", n_states=v), "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("name, call, bound", COUNTS, ids=[name for name, _, _ in COUNTS])
+def test_counts_are_integers_within_their_bound(name, call, bound):
+    least = 1 if bound == "positive" else 0
+    for value in (None, "1", True, 1.0, math.nan):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            call(value)
+    with pytest.raises(ValidationError, match=f"{name} must be {bound}, got {least - 1}"):
+        call(least - 1)
+    assert call(least) == call(np.int64(least))
 
 
 def test_mean_phases_must_be_a_phase_triple():
