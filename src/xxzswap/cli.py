@@ -29,7 +29,7 @@ import numpy as np
 from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
 from .errors import SingularityError, ValidationError, check_integer, check_real
-from .fidelity import FidelityGridRow, fidelity_grid
+from .fidelity import DEFAULT_SAMPLES, FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _partial_trace, _product
 from .swaps import ScanRow, _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
@@ -94,8 +94,9 @@ def _print_fields(obj, names) -> None:
         print(f"{name} = {_fmt(getattr(obj, name))}")
 
 
-def _resolve_seed(args) -> int:
-    seed, source = args.seed, "--seed"
+def _resolve_seed(seed) -> int:
+    """The ``--seed`` value, else ``XXZSWAP_SEED``, else the default."""
+    source = "--seed"
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR)
         if raw is None:
@@ -108,9 +109,8 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_swap_solve(args) -> int:
-    seed = _resolve_seed(args)
     plan = solve_schedule(args.m, args.n, args.tau)
-    report = verify_swap(plan, tolerance=args.tolerance, seed=seed)
+    report = verify_swap(plan, tolerance=args.tolerance, seed=args.seed)
     _print_fields(plan, ("m", "n", "tau"))
     _print_fields(plan.params, ("J", "Delta", "Gamma"))
     _print_fields(plan, ("kind", "delta_at_least_one"))
@@ -119,7 +119,6 @@ def cmd_swap_solve(args) -> int:
 
 
 def cmd_delta_scan(args) -> int:
-    _resolve_seed(args)  # the scan draws nothing, but a bad seed is still a usage error
     rows = delta_feasibility_scan(
         range(args.m_min, args.m_max + 1), range(args.n_min, args.n_max + 1), tau=args.tau
     )
@@ -128,12 +127,11 @@ def cmd_delta_scan(args) -> int:
 
 
 def cmd_fidelity_sweep(args) -> int:
-    seed = _resolve_seed(args)
     points = check_integer(args.points, "--points", "positive")
     # checked before linspace, which warns on a non-finite end
     xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz"), points)
     h = np.linspace(0.0, check_real(args.max_h, "--max-h"), points)
-    rows = fidelity_grid(xz, h, samples=args.samples, seed=seed)
+    rows = fidelity_grid(xz, h, samples=args.samples, seed=args.seed)
     _write_table(rows, FidelityGridRow, args.format, args.output)
     return EXIT_OK
 
@@ -221,9 +219,8 @@ def _worst(deviations, rng: np.random.Generator, cases: int) -> float:
 
 
 def cmd_verify_dynamics(args) -> int:
-    seed = _resolve_seed(args)
     cases = check_integer(args.cases, "--cases", "positive")
-    rng = stream(seed, 0)
+    rng = stream(args.seed, 0)
     # every propagator case is drawn before the first determinant case
     propagator_cases, determinant_cases = cases, 2 * cases
     worst_propagator = _worst(_propagator_deviations, rng, propagator_cases)
@@ -284,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-xz", type=float, default=5.0, help="largest lambda_x = lambda_z")
     p.add_argument("--max-h", type=float, default=5.0, help="largest lambda_h")
     p.add_argument("--points", type=int, default=6, help="grid points per axis")
-    p.add_argument("--samples", type=int, default=10**6, help="Monte Carlo samples per point")
+    p.add_argument(
+        "--samples", type=int, default=DEFAULT_SAMPLES, help="Monte Carlo samples per point"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     add_seed(p)
@@ -320,6 +319,8 @@ def main(argv=None) -> int:
     # rebound later (by a tracer, say) must still be the one called
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if "seed" in vars(args):  # before the handler, so a bad seed is reported first
+            args.seed = _resolve_seed(args.seed)
         return handler(args)
     # a size too large to allocate is a usage error too
     except (ValidationError, MemoryError) as exc:

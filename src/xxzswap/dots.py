@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import SingularityError, ValidationError, check_finite, check_real
+from .errors import SingularityError, ValidationError, check_finite, check_real, check_type
 from .swaps import SwapKind, SwapPlan, _check_integer_pair, classify_outcome, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
@@ -136,8 +136,10 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         E_s = E0(0, s) + h^2 / (E0(0, s) - E0(1, -s)).
 
     Raises when a denominator degenerates (zeeman_z * s = hbar_omega0 / 2),
-    where the expansion breaks down; warns when a |C| exceeds 0.3.
+    where the expansion breaks down; warns when a |C| exceeds
+    ``MIXING_WARN_THRESHOLD``.
     """
+    check_type(dot, DotSpec, "dot")
     h = -0.5 * math.sqrt(2.0) * dot.gradient_coupling
     energies = {}
     mixings = {}
@@ -154,7 +156,8 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         mixings[s] = h / denom
     if max(abs(mixings[+1]), abs(mixings[-1])) > MIXING_WARN_THRESHOLD:
         warnings.warn(
-            "mixing coefficient exceeds 0.3; perturbative results are strained",
+            f"mixing coefficient exceeds {MIXING_WARN_THRESHOLD}; "
+            "perturbative results are strained",
             stacklevel=2,
         )
     return PseudospinLevels(
@@ -184,6 +187,9 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     differ by more than 1%. Raises on the resonance |U - V| = omega and on a
     vanishing tunneling product, where the anisotropy is undefined.
     """
+    check_type(dot_i, DotSpec, "dot_i")
+    check_type(dot_j, DotSpec, "dot_j")
+    check_type(coupling, CouplingSpec, "coupling")
     levels_i = perturbed_levels(dot_i)
     levels_j = perturbed_levels(dot_j)
     omega = 0.5 * (levels_i.omega + levels_j.omega)
@@ -274,6 +280,7 @@ def map_to_swap(
     returned plan, when feasible, is the exact requirement at that duration;
     the residuals quantify how far the device parameters sit from it.
     """
+    check_type(effective, EffectiveParams, "effective")
     m, n = _check_integer_pair(m, n)
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
     if classify_outcome(m, n) is not SwapKind.SWAP:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite, check_real, check_type
+from .errors import ValidationError, check_finite, check_iterable, check_real, check_type
 from .states import QubitAmplitudes, TwoQubitPureState
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -74,7 +74,8 @@ class PulseSchedule:
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        segs = tuple(check_type(s, Segment, f"segments[{k}]") for k, s in enumerate(self.segments))
+        segments = check_iterable(self.segments, "segments")
+        segs = tuple(check_type(s, Segment, f"segments[{k}]") for k, s in enumerate(segments))
         if not segs:
             raise ValidationError("schedule must contain at least one segment")
         d0 = segs[0].params.Delta
@@ -131,6 +132,7 @@ def eigensystem(params: XxzParams) -> Spectrum:
     and -J*(Delta - 2)/4 and -J*(Delta + 2)/4 for the symmetric and
     antisymmetric combinations.
     """
+    check_type(params, XxzParams, "params")
     J, D, G = params.J, params.Delta, params.Gamma
     energies = (J * D / 4 + G, J * D / 4 - G, -J * (D - 2) / 4, -J * (D + 2) / 4)
     states = (
@@ -145,6 +147,7 @@ def eigensystem(params: XxzParams) -> Spectrum:
 def hamiltonian_matrix(params: XxzParams) -> np.ndarray:
     """Dense 4x4 Hamiltonian assembled from Kronecker products of the spin
     operators; used by the matrix-exponential oracle."""
+    check_type(params, XxzParams, "params")
     return _hamiltonians(params.J, params.Delta, params.Gamma)
 
 
@@ -160,7 +163,7 @@ def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
     Piecewise linear in t. Raises for t outside [0, total_duration]; a slack
     of 1e-12 absorbs rounding in summed segment durations.
     """
-    total = schedule.total_duration
+    total = check_type(schedule, PulseSchedule, "schedule").total_duration
     t = check_real(t, "t")
     if not -1e-12 <= t <= total + 1e-12:
         raise ValidationError(f"time {t!r} outside the schedule range [0, {total!r}]")
@@ -181,6 +184,7 @@ def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
 
 def propagate(state: TwoQubitPureState, phases: PhaseTriple) -> TwoQubitPureState:
     """Apply the closed-form propagator to an arbitrary pure state."""
+    check_type(state, TwoQubitPureState, "state")
     return TwoQubitPureState(*(propagator_matrix(phases) @ state.as_vector()).tolist())
 
 
@@ -217,6 +221,7 @@ def dense_exponential_oracle(params: XxzParams, t: float) -> np.ndarray:
     Independent verification path for :func:`propagator_matrix`: it builds H
     from spin operators and never touches the phase-angle formulas.
     """
+    check_type(params, XxzParams, "params")
     return _exponentials(params.J, params.Delta, params.Gamma, check_real(t, "t"))
 
 
@@ -239,6 +244,9 @@ def reduced_determinant_closed_form(
     input exactly when phi_z - phi_x and phi_z + phi_x are both integer
     multiples of 2 pi, which is what makes exact swaps possible.
     """
+    check_type(alpha, QubitAmplitudes, "alpha")
+    check_type(beta, QubitAmplitudes, "beta")
+    check_type(phases, PhaseTriple, "phases")
     # as a stack of one, so that its complex products round as a stack's do
     alpha, beta = alpha.as_vector()[None], beta.as_vector()[None]
     return float(_reduced_determinants(alpha, beta, phases.phi_x, phases.phi_z)[0])

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one real-number check and
-the field check built on it, the one integer check, and the one type check."""
+the field check built on it, the one integer check, the one type check and
+the one sequence check."""
 
 import cmath
 import numbers
@@ -38,6 +39,15 @@ def check_type(value, cls, name: str):
     if not isinstance(value, cls):
         raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
+
+
+def check_iterable(value, name: str) -> list:
+    """The items of ``value`` as a list, if it is iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {value!r}") from None
+    return list(items)
 
 
 def check_real(value, name: str, bound: str = "", cast=float):

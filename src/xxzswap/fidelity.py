@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import PhaseTriple, propagator_matrix
-from .errors import ValidationError, check_finite, check_integer, check_real, check_type
+from .errors import ValidationError, check_finite, check_integer, check_iterable, check_real, check_type
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .swaps import SWAP_MATRIX
 
@@ -306,8 +306,8 @@ def fidelity_grid(
     estimate, suitable for surface plots or regression against the closed
     form. Axis grids must be nonempty, nondecreasing and in [0, ``MC_LAMBDA_MAX``].
     """
-    xz = [check_real(v, "xz_values", "nonnegative") for v in xz_values]
-    h = [check_real(v, "h_values", "nonnegative") for v in h_values]
+    xz = [check_real(v, "xz_values", "nonnegative") for v in check_iterable(xz_values, "xz_values")]
+    h = [check_real(v, "h_values", "nonnegative") for v in check_iterable(h_values, "h_values")]
     for name, axis in (("xz_values", xz), ("h_values", h)):
         if not axis:
             raise ValidationError(f"{name} must be nonempty")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite, check_integer, check_real
+from .errors import ValidationError, check_finite, check_integer, check_real, check_type
 
 #: Tolerance on unit norm / hermiticity enforced at construction.
 NORM_TOL = 1e-12
@@ -69,7 +69,10 @@ class TwoQubitPureState:
 
     @classmethod
     def from_vector(cls, vec) -> "TwoQubitPureState":
-        v = np.asarray(vec).reshape(4)
+        try:
+            v = np.asarray(vec).reshape(4)
+        except ValueError:  # too few or too many amplitudes, or a ragged nesting
+            raise ValidationError(f"vec must hold 4 amplitudes, got {vec!r}") from None
         return cls(v[0], v[1], v[2], v[3])
 
     def as_vector(self) -> np.ndarray:
@@ -118,20 +121,20 @@ class QubitDensity:
 
     def pure_fidelity(self, target: QubitAmplitudes) -> float:
         """Fidelity <chi|rho|chi> against a pure target state chi."""
+        check_type(target, QubitAmplitudes, "target")
         return float(_expectation(self.as_matrix(), target.as_vector()).real)
 
 
 def make_product_state(alpha: QubitAmplitudes, beta: QubitAmplitudes) -> TwoQubitPureState:
     """Tensor product of alpha on qubit i with beta on qubit j."""
-    for name, q in (("qubit i (alpha)", alpha), ("qubit j (beta)", beta)):
-        n = _norm_sq(q.a0, q.a1)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValidationError(f"{name} not normalized: |a|^2 = {n!r}")
+    check_type(alpha, QubitAmplitudes, "qubit i (alpha)")
+    check_type(beta, QubitAmplitudes, "qubit j (beta)")
     return TwoQubitPureState(*_product(alpha.as_vector(), beta.as_vector()).tolist())
 
 
 def reduce_to_qubit(state: TwoQubitPureState, which: int) -> QubitDensity:
     """Partial trace of a pure state: ``which`` = 0 keeps qubit i, 1 keeps j."""
+    check_type(state, TwoQubitPureState, "state")
     if check_integer(which, "which") not in (0, 1):
         raise ValidationError("qubit index must be 0 (qubit i) or 1 (qubit j)")
     rho = _partial_trace(state.as_vector(), which)

@@ -29,7 +29,7 @@ from .dynamics import (
     accumulate_phases,
     propagator_matrix,
 )
-from .errors import ValidationError, check_integer, check_real, check_type
+from .errors import ValidationError, check_integer, check_iterable, check_real, check_type
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _expectation, _partial_trace, _product
 
@@ -87,13 +87,6 @@ class SwapPlan:
     def delta_at_least_one(self) -> bool:
         """Whether |Delta| >= 1 (every solution with n >= 0 satisfies this)."""
         return abs(self.params.Delta) >= 1.0
-
-    def phases(self) -> PhaseTriple:
-        return PhaseTriple(
-            self.params.J * self.tau,
-            self.params.J * self.params.Delta * self.tau,
-            self.params.Gamma * self.tau,
-        )
 
     def schedule(self) -> PulseSchedule:
         return PulseSchedule.constant(self.params, self.tau)
@@ -161,18 +154,10 @@ def verify_swap(
     n_states: int = 50,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Verify a solved plan against its ideal target.
-
-    Compares the plan's propagator with SWAP (identity for return-to-self
-    plans) up to a global phase, then evolves ``n_states`` random product
-    states, drawn from ``stream(seed, 0)``, as one batch and checks that
-    each qubit's reduced state lands on the expected single-qubit target
-    with fidelity >= 1 - tolerance. A non-finite fidelity fails. The largest
-    purity determinant is reported, not checked: det(rho) <= 1 - <chi|rho|chi>
-    for any pure target chi, so the fidelity check already bounds it. Failure
-    is reported, not raised; a negative or non-finite tolerance raises.
-    """
-    return _verify_phases(plan.phases(), plan.kind, tolerance, n_states, seed)
+    """Verify a solved plan as the schedule it is:
+    ``verify_schedule(plan.schedule(), plan.kind, ...)``."""
+    check_type(plan, SwapPlan, "plan")
+    return verify_schedule(plan.schedule(), plan.kind, tolerance, n_states, seed)
 
 
 def verify_schedule(
@@ -182,34 +167,23 @@ def verify_schedule(
     n_states: int = 50,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Verify an arbitrary schedule against the swap (or identity) target
-    ``kind``, a :class:`SwapKind` or its string value.
+    """Verify a schedule against the swap (or identity) target ``kind``, a
+    :class:`SwapKind` or its string value.
 
-    Accepts schedules that miss the phase conditions, for example detuned
-    ones; those simply fail, with the deviation quantified in the report.
+    Compares the propagator of the schedule's accumulated phases with SWAP
+    (identity for return-to-self) up to a global phase, then evolves
+    ``n_states`` random product states, drawn from ``stream(seed, 0)``, as
+    one batch and checks that each qubit's reduced state lands on the
+    expected single-qubit target with fidelity >= 1 - tolerance. A
+    non-finite fidelity fails. The largest purity determinant is reported,
+    not checked: det(rho) <= 1 - <chi|rho|chi> for any pure target chi, so
+    the fidelity check already bounds it. Schedules that miss the phase
+    conditions, detuned ones for example, simply fail, with the deviation
+    quantified in the report. Failure is reported, not raised; a negative or
+    non-finite tolerance raises.
     """
+    check_type(schedule, PulseSchedule, "schedule")
     phases = accumulate_phases(schedule, schedule.total_duration)
-    return _verify_phases(phases, kind, tolerance, n_states, seed)
-
-
-def _compare_to_target(U: np.ndarray, kind: SwapKind) -> tuple[float, float, float]:
-    """(trace_overlap, global_phase, max_entry_deviation) of the propagator
-    ``U`` against SWAP (identity for return-to-self), the deviation taken
-    after aligning the target's global phase."""
-    target = SWAP_MATRIX if kind is SwapKind.SWAP else np.eye(4, dtype=complex)
-    tr = complex(np.trace(target.conj().T @ U))
-    global_phase = math.atan2(tr.imag, tr.real)
-    aligned = np.exp(1j * global_phase) * target
-    return min(abs(tr) / 4.0, 1.0), global_phase, float(np.max(np.abs(U - aligned)))
-
-
-def _verify_phases(
-    phases: PhaseTriple,
-    kind: SwapKind | str,
-    tolerance: float,
-    n_states: int,
-    seed: int,
-) -> VerificationReport:
     kind = SwapKind(kind)
     n_states = check_integer(n_states, "n_states", "nonnegative")
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
@@ -240,6 +214,17 @@ def _verify_phases(
     )
 
 
+def _compare_to_target(U: np.ndarray, kind: SwapKind) -> tuple[float, float, float]:
+    """(trace_overlap, global_phase, max_entry_deviation) of the propagator
+    ``U`` against SWAP (identity for return-to-self), the deviation taken
+    after aligning the target's global phase."""
+    target = SWAP_MATRIX if kind is SwapKind.SWAP else np.eye(4, dtype=complex)
+    tr = complex(np.trace(target.conj().T @ U))
+    global_phase = math.atan2(tr.imag, tr.real)
+    aligned = np.exp(1j * global_phase) * target
+    return min(abs(tr) / 4.0, 1.0), global_phase, float(np.max(np.abs(U - aligned)))
+
+
 @dataclass(frozen=True)
 class ScanRow:
     """One solved integer pair of the anisotropy feasibility scan."""
@@ -264,7 +249,7 @@ def delta_feasibility_scan(
     and merging would produce the same table. The scan records outcomes for
     every pair, including anisotropies below 1 reached through negative n.
     """
-    m_list, n_list = list(m_values), list(n_values)
+    m_list, n_list = check_iterable(m_values, "m_values"), check_iterable(n_values, "n_values")
     if not m_list or not n_list:
         raise ValidationError("scan ranges must be nonempty")
     rows = []
@@ -273,7 +258,8 @@ def delta_feasibility_scan(
             if m == n:
                 continue
             plan = solve_schedule(m, n, tau)
-            overlap, phase, _ = _compare_to_target(propagator_matrix(plan.phases()), plan.kind)
+            phases = accumulate_phases(plan.schedule(), plan.tau)
+            overlap, phase, _ = _compare_to_target(propagator_matrix(phases), plan.kind)
             rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))
     rows.sort(key=lambda r: (r.delta, r.m, r.n))
     return rows

@@ -12,6 +12,7 @@ import pytest
 
 from xxzswap import (
     FluctuationSpec,
+    McEstimate,
     PhaseTriple,
     SWAP_MATRIX,
     SWAP_POINT,
@@ -193,6 +194,10 @@ class TestMonteCarloAverage:
             est = average_fidelity_mc(FluctuationSpec(0, 0, 0), samples=10_000, seed=seed)
             assert est.mean == 1.0
             assert est.std_error == 0.0
+
+    def test_negative_standard_error_rejected(self):
+        with pytest.raises(ValidationError, match="standard error cannot be negative"):
+            McEstimate(1.0, -1e-3, 10, 7)
 
     def test_matches_analytic_within_three_stderr(self):
         est = average_fidelity_mc(FluctuationSpec(1, 1, 0), samples=10**6)
@@ -683,6 +688,13 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert results[1] == results[0]
         assert results[2] == results[0]
+
+    def test_cpu_count_serves_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert xxzswap.fidelity._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert xxzswap.fidelity._cpus() == 1
 
     @pytest.mark.parametrize("cpus, samples", [(3, CHUNK_SAMPLES), (1, 3 * CHUNK_SAMPLES + 1234)])
     def test_one_worker_starts_no_thread(self, monkeypatch, cpus, samples):

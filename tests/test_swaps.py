@@ -1,6 +1,7 @@
 """Tests for swap-schedule solving, outcome classification, verification,
 and the anisotropy feasibility scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ class TestSolveSchedule:
             if m != n:
                 plan = solve_schedule(np.int64(m), n, tau)
                 assert (plan.m, plan.n) == (m, n)
-                phases = plan.phases()
+                phases = accumulate_phases(plan.schedule(), plan.tau)
                 targets = ((m - n) * PI, (m + n) * PI, n * PI)
                 for phase, target in zip((phases.phi_x, phases.phi_z, phases.phi_h), targets):
                     assert abs(phase - target) <= 16 * EPS * max(abs(target), PI)
@@ -156,6 +157,12 @@ class TestVerifySwap:
         assert report.passed
         assert report.trace_overlap == pytest.approx(1.0, abs=1e-12)
         assert report.min_state_fidelity >= 1 - 1e-10
+
+    def test_report_rejects_an_overlap_outside_the_unit_interval(self):
+        report = verify_swap(solve_schedule(2, 1, 1.0))
+        for overlap in (-1e-3, 1.0 + 1e-9, math.nan):
+            with pytest.raises(ValidationError, match="trace overlap out of range"):
+                dataclasses.replace(report, trace_overlap=overlap)
 
     def test_detuned_schedule_fails(self):
         plan = solve_schedule(2, 1, 1.0)

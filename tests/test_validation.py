@@ -1,8 +1,9 @@
 """Every real scalar the library takes from a caller passes the one check in
 ``errors.check_real``, every count the one check in ``errors.check_integer``,
-and every value object the one check in ``errors.check_type``: a value of the
-wrong kind, or one that misses the bound its argument carries, raises
-``ValidationError`` naming that argument."""
+every value object the one check in ``errors.check_type`` and every sequence
+the one check in ``errors.check_iterable``: a value of the wrong kind, or one
+that misses the bound its argument carries, raises ``ValidationError`` naming
+that argument."""
 
 import math
 
@@ -17,18 +18,27 @@ from xxzswap import (
     PulseSchedule,
     QubitAmplitudes,
     Segment,
+    TwoQubitPureState,
     ValidationError,
     XxzParams,
     accumulate_phases,
     average_fidelity_analytic,
     average_fidelity_mc,
+    delta_feasibility_scan,
     dense_exponential_oracle,
     effective_params,
+    eigensystem,
     fidelity_grid,
     gate_fidelity,
+    hamiltonian_matrix,
     is_swap_point,
+    make_product_state,
     map_to_swap,
+    perturbed_levels,
+    propagate,
     propagator_matrix,
+    reduce_to_qubit,
+    reduced_determinant_closed_form,
     solve_schedule,
     state_ensemble_fidelity,
     verify_schedule,
@@ -42,6 +52,8 @@ ORIGIN = PhaseTriple(0.0, 0.0, 0.0)
 DOT = dict(hbar_omega0=1.0, zeeman_z=0.2, gradient_coupling=0.1, g_times_b=0.05)
 COUPLING = dict(U=1.0, V=0.5, t00=0.05, t11=0.05, t12=0.02)
 CONFINEMENT = dict(mass=2.0, omega0=1.0, g_mu_b_b0=0.2, g_mu_b_gradient=0.1)
+QUBIT = QubitAmplitudes(1, 0)
+STATE = TwoQubitPureState(1, 0, 0, 0)
 
 
 def effective():
@@ -96,6 +108,37 @@ TARGETS = [
     ("spec", average_fidelity_analytic, False),
     ("spec", lambda v: average_fidelity_mc(v, samples=1), False),
     ("kind", lambda v: verify_schedule(PLAN.schedule(), v, n_states=1), False),
+    ("plan", verify_swap, False),
+    ("schedule", lambda v: verify_schedule(v, "swap", n_states=1), False),
+    ("schedule", lambda v: accumulate_phases(v, 0.0), False),
+    ("dot", perturbed_levels, False),
+    ("dot_i", lambda v: effective_params(v, DotSpec(**DOT), CouplingSpec(**COUPLING)), False),
+    ("dot_j", lambda v: effective_params(DotSpec(**DOT), v, CouplingSpec(**COUPLING)), False),
+    ("coupling", lambda v: effective_params(DotSpec(**DOT), DotSpec(**DOT), v), False),
+    ("effective", lambda v: map_to_swap(v, 1, 0), False),
+    ("state", lambda v: propagate(v, ORIGIN), False),
+    ("state", lambda v: reduce_to_qubit(v, 0), False),
+    ("alpha", lambda v: reduced_determinant_closed_form(v, QUBIT, ORIGIN), False),
+    ("beta", lambda v: reduced_determinant_closed_form(QUBIT, v, ORIGIN), False),
+    ("phases", lambda v: reduced_determinant_closed_form(QUBIT, QUBIT, v), False),
+    ("target", lambda v: reduce_to_qubit(STATE, 0).pure_fidelity(v), False),
+    ("alpha", lambda v: make_product_state(v, QUBIT), False),
+    ("beta", lambda v: make_product_state(QUBIT, v), False),
+    # sequences and vectors: no scalar is one
+    ("m_values", lambda v: delta_feasibility_scan(v, [0]), False),
+    ("n_values", lambda v: delta_feasibility_scan([1], v), False),
+    ("vec", TwoQubitPureState.from_vector, False),
+]
+
+# Entry points whose argument a TARGETS row already names. pytest numbers the
+# ids of repeated names, so a second row would rename the first row's tests.
+SAME_NAME_TARGETS = [
+    ("params", "eigensystem", eigensystem),
+    ("params", "hamiltonian_matrix", hamiltonian_matrix),
+    ("params", "dense_exponential_oracle", lambda v: dense_exponential_oracle(v, 1.0)),
+    ("segments", "PulseSchedule", PulseSchedule),
+    ("xz_values", "fidelity_grid", lambda v: fidelity_grid(v, [0.0], samples=1)),
+    ("h_values", "fidelity_grid", lambda v: fidelity_grid([0.0], v, samples=1)),
 ]
 
 BAD_VALUES = {
@@ -126,6 +169,17 @@ def test_invalid_scalar_raises_validation_error(call, value):
 def test_error_names_the_argument(name, call):
     with pytest.raises(ValidationError, match=name):
         call(None)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [(name, call) for name, _, call in SAME_NAME_TARGETS],
+    ids=[f"{where}-{name}" for name, where, _ in SAME_NAME_TARGETS],
+)
+def test_same_name_arguments_reject_scalars_naming_the_argument(name, call):
+    for value in BAD_VALUES.values():
+        with pytest.raises(ValidationError, match=name):
+            call(value)
 
 
 def test_numpy_scalars_and_integers_are_accepted_as_floats():
