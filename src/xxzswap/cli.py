@@ -8,8 +8,9 @@ Subcommands: ``swap-solve`` (solve and verify one integer pair),
 
 Exit codes: 0 success, 2 usage or validation failure, 3 numerical
 verification failure, 4 physical singularity. All numbers print with 12
-significant digits and every draw is seeded, so identical invocations produce
-byte-identical output.
+significant digits, except in the ``failure:`` lines of ``pseudospin-map``,
+which ``map_to_swap`` formats with 6. Every draw is seeded, so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dots import CouplingSpec, DotSpec, effective_params, map_to_swap
+from .dots import FEASIBILITY_TOLERANCE, CouplingSpec, DotSpec, effective_params, map_to_swap
 from .dynamics import _exponentials, _propagators, _reduced_determinants
 from .errors import SingularityError, ValidationError, check_integer, check_real
 from .fidelity import DEFAULT_SAMPLES, FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, check_seed, stream
 from .states import _determinants, _partial_trace, _product
-from .swaps import ScanRow, _random_qubits, delta_feasibility_scan, solve_schedule, verify_swap
+from .swaps import (
+    VERIFY_TOLERANCE,
+    ScanRow,
+    _random_qubits,
+    delta_feasibility_scan,
+    solve_schedule,
+    verify_swap,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tau", type=float, required=True, help="schedule duration")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float, default=VERIFY_TOLERANCE)
     add_seed(p)
 
     p = sub.add_parser("delta-scan", help="solve and tabulate integer pairs over given ranges")
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON with dot_i, dot_j, coupling")
     p.add_argument("--m", type=int, default=None, help="check feasibility of this swap index")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=FEASIBILITY_TOLERANCE)
 
     p = sub.add_parser(
         "verify-dynamics",

@@ -20,10 +20,13 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import SingularityError, ValidationError, check_finite, check_real, check_type
-from .swaps import SwapKind, SwapPlan, _check_integer_pair, classify_outcome, solve_schedule
+from .swaps import SwapKind, SwapPlan, solve_schedule
 
 #: Mixing coefficients above this leave the safely perturbative regime.
 MIXING_WARN_THRESHOLD = 0.3
+#: Default of map_to_swap: the largest anisotropy and Zeeman-phase residuals
+#: that still count as feasible.
+FEASIBILITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,10 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
 
     The formulas use a single transition frequency; for inhomogeneous dots
     the average (omega_i + omega_j) / 2 is used, with a warning once the two
-    differ by more than 1%. Raises on the resonance |U - V| = omega and on a
-    vanishing tunneling product, where the anisotropy is undefined.
+    differ by more than 1%. Raises on the resonance |U - V| = omega, on a
+    vanishing tunneling product, and where (U - V)^2 or
+    t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0: the anisotropy is
+    undefined there.
     """
     check_type(dot_i, DotSpec, "dot_i")
     check_type(dot_j, DotSpec, "dot_j")
@@ -214,20 +219,30 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
         f = 0.5 * (f_plus + (dot_j.g_times_b / dot_i.g_times_b) * f_minus)
 
     gap = coupling.U - coupling.V
+    gap_squared = gap * gap
     product = t_plus * t_minus
     if product == 0.0:
         raise SingularityError("tunneling product t_+ t_- vanishes; anisotropy undefined")
-    if abs(gap * gap - omega * omega) <= 1e-12 * max(gap * gap, omega * omega):
+    if abs(gap_squared - omega * omega) <= 1e-12 * max(gap_squared, omega * omega):
         raise SingularityError(
             f"resonance |U - V| = omega ({abs(gap)!r} vs {omega!r}); "
             "the effective parameters diverge"
         )
+    if gap_squared == 0.0:  # U != V, but (U - V)^2 underflows
+        raise SingularityError(
+            f"(U - V)^2 underflows to 0 at U - V = {gap!r}; anisotropy undefined"
+        )
+    detuned_product = product * (1.0 - omega * omega / gap_squared)
+    if detuned_product == 0.0:
+        raise SingularityError(
+            "t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0; anisotropy undefined"
+        )
 
     j_eff = 4.0 * product / gap
     delta_tilde = (t_plus * t_plus + t_minus * t_minus) / (2.0 * product) - (
-        f * f / (product * (1.0 - omega * omega / (gap * gap)))
+        f * f / detuned_product
     )
-    omega_tilde = omega * (1.0 - 2.0 * f * f / (gap * gap - omega * omega))
+    omega_tilde = omega * (1.0 - 2.0 * f * f / (gap_squared - omega * omega))
     return EffectiveParams(
         j_eff=j_eff,
         delta_tilde=delta_tilde,
@@ -268,7 +283,7 @@ class SwapFeasibility:
 
 
 def map_to_swap(
-    effective: EffectiveParams, m: int, n: int, tolerance: float = 1e-9
+    effective: EffectiveParams, m: int, n: int, tolerance: float = FEASIBILITY_TOLERANCE
 ) -> SwapFeasibility:
     """Check whether effective parameters admit the (m, n) swap.
 
@@ -281,11 +296,13 @@ def map_to_swap(
     the residuals quantify how far the device parameters sit from it.
     """
     check_type(effective, EffectiveParams, "effective")
-    m, n = _check_integer_pair(m, n)
+    unit = SwapPlan(m, n, 1.0)
+    m, n = unit.m, unit.n
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
-    if classify_outcome(m, n) is not SwapKind.SWAP:
+    if unit.kind is not SwapKind.SWAP:
         raise ValidationError("|m - n| must be odd for a swap; even pairs return each qubit to itself")
-    required_delta = (m + n) / (m - n)
+    # at tau = 1 the plan's J and Gamma are the phases (m - n) pi and n pi
+    required_delta = unit.params.Delta
     failures: list[str] = []
 
     tau: float | None = None
@@ -295,7 +312,7 @@ def map_to_swap(
     elif effective.j_eff == 0.0:
         failures.append("J_eff = 0 accumulates no exchange phase")
     else:
-        candidate = (m - n) * math.pi / effective.j_eff
+        candidate = unit.params.J / effective.j_eff
         if candidate <= 0.0:
             failures.append(
                 f"duration (m - n) pi / J_eff = {candidate:.6g} is not positive; "
@@ -316,11 +333,11 @@ def map_to_swap(
     if tau is None:
         zeeman_phase_residual = math.nan
     else:
-        zeeman_phase_residual = abs(effective.omega_tilde * tau - n * math.pi)
+        zeeman_phase_residual = abs(effective.omega_tilde * tau - unit.params.Gamma)
         if not zeeman_phase_residual <= tolerance:
             failures.append(
                 f"Zeeman phase mismatch: omega~ tau = {effective.omega_tilde * tau:.6g} "
-                f"vs required {n * math.pi:.6g} (residual {zeeman_phase_residual:.6g})"
+                f"vs required {unit.params.Gamma:.6g} (residual {zeeman_phase_residual:.6g})"
             )
 
     feasible = not failures

@@ -43,6 +43,11 @@ PHASE_MATCH_TOL = 1e-9
 #: rounding of phases summed over hundreds of segments, far below any loss
 #: of fidelity the verifier can see.
 PHASE_SUM_TOL = 256 * math.ulp(1.0)
+#: Default of the verifiers: the largest loss of trace overlap or of state
+#: fidelity that still passes.
+VERIFY_TOLERANCE = 1e-10
+#: Default of the verifiers: the random product states each one checks.
+VERIFY_STATES = 50
 
 
 class SwapKind(str, Enum):
@@ -72,14 +77,15 @@ class SwapPlan:
     kind: SwapKind = field(init=False)
 
     def __post_init__(self) -> None:
-        m, n = _check_integer_pair(self.m, self.n)
+        kind = classify_outcome(self.m, self.n)
+        m, n = int(self.m), int(self.n)
         tau = check_real(self.tau, "tau", "positive")
         params = XxzParams(
             J=(m - n) * math.pi / tau,
             Delta=(m + n) / (m - n) + 0.0,  # normalize -0.0 for m + n = 0
             Gamma=n * math.pi / tau,
         )
-        derived = {"m": m, "n": n, "tau": tau, "params": params, "kind": classify_outcome(m, n)}
+        derived = {"m": m, "n": n, "tau": tau, "params": params, "kind": kind}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -125,10 +131,15 @@ def classify_outcome(m: int, n: int) -> SwapKind:
 
     The transferred |1> amplitude carries the phase pi*n + phi_h, which is
     2 pi n at the designed operating point phi_h = n pi, so no observable
-    relative phase remains.
+    relative phase remains. This is the one check of a pair: integers, at
+    most 2**53 in magnitude, with m != n.
     """
-    m, n = _check_integer_pair(m, n)
-    return SwapKind.SWAP if (m - n) % 2 else SwapKind.RETURN_TO_SELF
+    for name, value in (("m", m), ("n", n)):
+        if abs(check_integer(value, name)) > 2**53:  # floats skip integers beyond 2**53
+            raise ValidationError(f"|{name}| must be at most 2**53")
+    if m == n:
+        raise ValidationError("m = n leaves the 01/10 block unmixed; no swap solution")
+    return SwapKind.SWAP if (int(m) - int(n)) % 2 else SwapKind.RETURN_TO_SELF
 
 
 def is_swap_point(phases: PhaseTriple) -> bool:
@@ -150,8 +161,8 @@ def is_swap_point(phases: PhaseTriple) -> bool:
 
 def verify_swap(
     plan: SwapPlan,
-    tolerance: float = 1e-10,
-    n_states: int = 50,
+    tolerance: float = VERIFY_TOLERANCE,
+    n_states: int = VERIFY_STATES,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Verify a solved plan as the schedule it is:
@@ -163,8 +174,8 @@ def verify_swap(
 def verify_schedule(
     schedule: PulseSchedule,
     kind: SwapKind | str,
-    tolerance: float = 1e-10,
-    n_states: int = 50,
+    tolerance: float = VERIFY_TOLERANCE,
+    n_states: int = VERIFY_STATES,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Verify a schedule against the swap (or identity) target ``kind``, a
@@ -263,15 +274,6 @@ def delta_feasibility_scan(
             rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))
     rows.sort(key=lambda r: (r.delta, r.m, r.n))
     return rows
-
-
-def _check_integer_pair(m, n) -> tuple[int, int]:
-    for name, value in (("m", m), ("n", n)):
-        if abs(check_integer(value, name)) > 2**53:  # floats skip integers beyond 2**53
-            raise ValidationError(f"|{name}| must be at most 2**53")
-    if m == n:
-        raise ValidationError("m = n leaves the 01/10 block unmixed; no swap solution")
-    return int(m), int(n)
 
 
 def _random_qubits(rng: np.random.Generator, count: int) -> np.ndarray:

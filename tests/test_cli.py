@@ -3,6 +3,7 @@ round-trips, and determinism."""
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from xxzswap import (
     reduce_to_qubit,
     reduced_determinant_closed_form,
 )
+import xxzswap.dots
 import xxzswap.swaps
 from xxzswap import cli
 from xxzswap.cli import main
@@ -443,6 +445,31 @@ class TestPseudospinMap:
         assert captured.out == ""
         assert "inhomogeneity ratio" in captured.err
 
+    @pytest.mark.parametrize(
+        "coupling, denominator",
+        [
+            ({"U": 1e-300, "V": 0.0}, "(U - V)^2"),
+            ({"U": 0.4032, "V": 0.0, "t00": 3e-162, "t11": 0.0, "t12": 0.0}, "t_+ t_- (1 - omega^2"),
+        ],
+        ids=["gap-squared", "detuned-product"],
+    )
+    def test_underflowing_denominator_exit_singular(self, tmp_path, coupling, denominator):
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        config["coupling"].update(coupling)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        src = str(Path(cli.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "xxzswap.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {denominator}")
+        assert result.stderr.count("\n") == 1  # one line, no traceback
+
     def test_overflowing_gap_exit_usage(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)
         config["coupling"] = dict(config["coupling"], U=1e308, V=-1e308)
@@ -496,6 +523,20 @@ def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_verification_defaults_are_the_library_constants():
+    parser = cli.build_parser()
+    solve = parser.parse_args(["swap-solve", "--m", "2", "--n", "1", "--tau", "1"])
+    mapping = parser.parse_args(["pseudospin-map", "--config", "device.json"])
+    assert solve.tolerance is xxzswap.swaps.VERIFY_TOLERANCE == 1e-10
+    assert mapping.tolerance is xxzswap.dots.FEASIBILITY_TOLERANCE == 1e-9
+    for verifier in (xxzswap.swaps.verify_swap, xxzswap.swaps.verify_schedule):
+        defaults = inspect.signature(verifier).parameters
+        assert defaults["tolerance"].default is xxzswap.swaps.VERIFY_TOLERANCE
+        assert defaults["n_states"].default is xxzswap.swaps.VERIFY_STATES == 50
+    defaults = inspect.signature(xxzswap.dots.map_to_swap).parameters
+    assert defaults["tolerance"].default is xxzswap.dots.FEASIBILITY_TOLERANCE
 
 
 def reference_verify(seed, cases, block):

@@ -1,9 +1,13 @@
 """Tests for the pseudospin level structure and the effective exchange
 parameter mapping."""
 
+import collections
 import dataclasses
+import hashlib
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +257,24 @@ class TestEffectiveParams:
         with pytest.raises(SingularityError, match="tunneling product"):
             effective_params(dot, dot, coupling)
 
+    @pytest.mark.parametrize(
+        "coupling, denominator",
+        [
+            # U != V, but (U - V)^2 underflows to 0
+            (CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
+            # t_+ t_- ~ 1e-323 is not 0, but its product with 1 - omega^2 / (U - V)^2 is
+            (
+                CouplingSpec(U=0.4032, V=0.0, t00=3e-162, t11=0.0, t12=0.0),
+                "t_+ t_- (1 - omega^2 / (U - V)^2)",
+            ),
+        ],
+        ids=["gap-squared", "detuned-product"],
+    )
+    def test_underflowing_denominator_raises(self, coupling, denominator):
+        dot = DotSpec(**EXAMPLE_DOT)
+        with pytest.raises(SingularityError, match=re.escape(f"{denominator} underflows to 0")):
+            effective_params(dot, dot, coupling)
+
     def test_zero_gradient_in_dot_i_with_nonzero_f_minus_raises(self):
         dot_i = DotSpec(**dict(EXAMPLE_DOT, g_times_b=0.0))
         with pytest.raises(SingularityError, match="inhomogeneity ratio"):
@@ -284,6 +306,11 @@ def make_effective(j_eff, delta_tilde, omega_tilde):
         omega_i=omega_tilde,
         omega_j=omega_tilde,
     )
+
+
+# sha256 of the seeded map_to_swap results of TestMapToSwap.test_seeded_results_are_frozen,
+# frozen before map_to_swap read its targets from the unit-duration plan
+MAPPER_SHA256 = "896cc9176cbf78e9bd1694ee5783cb65b561e2537c38fb2b7562f4148d597b01"
 
 
 class TestMapToSwap:
@@ -394,3 +421,55 @@ class TestMapToSwap:
                     assert result.plan.tau == result.tau
                     assert verify_swap(result.plan, n_states=4).passed
         assert feasible > 0
+
+    def test_seeded_results_are_frozen(self):
+        # every field pseudospin-map prints, as repr, over 600 seeded inputs
+        lines, seen = [], collections.Counter()
+        for eff, m, n, tolerance in mapper_inputs(600, seed=1703):
+            r = map_to_swap(eff, m, n, *(() if tolerance is None else (tolerance,)))
+            fields = (r.m, r.n, r.feasible, r.required_delta, r.delta_residual)
+            lines.append(repr((*fields, r.zeeman_phase_residual, r.tau, r.failures)))
+            seen[r.feasible, m > n, math.isfinite(eff.j_eff)] += 1
+        assert min(seen[True, positive, True] for positive in (True, False)) > 20
+        assert min(seen[False, positive, True] for positive in (True, False)) > 150
+        assert min(seen[False, positive, False] for positive in (True, False)) > 30
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == MAPPER_SHA256
+
+
+def mapper_inputs(count, seed):
+    """Seeded ``(effective, m, n, tolerance)`` inputs for ``map_to_swap``, odd
+    pairs with m - n of either sign. A third are random devices as
+    ``effective_params`` maps them; a third are the same kind of device moved
+    onto the pair's targets, up to an offset, with J_eff of the right sign four
+    times in five; a third carry a non-finite, zero or subnormal J_eff. A
+    tolerance of None means the default."""
+    rng = np.random.default_rng(seed)
+    special = (math.inf, -math.inf, math.nan, 0.0, 1.3e-320, -1.3e-320)
+    for k in range(count):
+        dots = [
+            DotSpec(1.0, rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3), rng.uniform(0.01, 0.1))
+            for _ in range(2)
+        ]
+        coupling = CouplingSpec(
+            rng.uniform(0.3, 2.0), rng.uniform(-0.3, 0.3), *rng.uniform(-0.1, 0.1, 3)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # strained mixing and unequal dots are inputs too
+            eff = effective_params(*dots, coupling)
+        n = int(rng.integers(-6, 7))
+        d = int(rng.choice([-5, -3, -1, 1, 3, 5]))
+        m = n + d
+        tolerance = [None, 0.0, 1e-6, 1e-2][int(rng.integers(4))]
+        if k % 3 == 1:
+            j_eff = math.copysign(eff.j_eff, d if rng.random() < 0.8 else -d)
+            offset = [0.0, 1e-12, 1e-7, 1e-3][int(rng.integers(4))]
+            eff = dataclasses.replace(
+                eff,
+                j_eff=j_eff,
+                delta_tilde=(m + n) / (m - n) + offset,
+                omega_tilde=n * j_eff / (m - n) + offset,
+            )
+        elif k % 3 == 2:
+            eff = dataclasses.replace(eff, j_eff=special[(k // 3) % len(special)])
+        yield eff, m, n, tolerance
