@@ -36,9 +36,9 @@ from .states import _determinants, _partial_trace, _product
 from .swaps import (
     VERIFY_TOLERANCE,
     ScanRow,
+    SwapPlan,
     _random_qubits,
     delta_feasibility_scan,
-    solve_schedule,
     verify_swap,
 )
 
@@ -117,7 +117,7 @@ def _resolve_seed(seed) -> int:
 
 
 def cmd_swap_solve(args) -> int:
-    plan = solve_schedule(args.m, args.n, args.tau)
+    plan = SwapPlan(args.m, args.n, args.tau)
     report = verify_swap(plan, tolerance=args.tolerance, seed=args.seed)
     _print_fields(plan, ("m", "n", "tau"))
     _print_fields(plan.params, ("J", "Delta", "Gamma"))

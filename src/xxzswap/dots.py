@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import SingularityError, ValidationError, check_finite, check_real, check_type
-from .swaps import SwapKind, SwapPlan, solve_schedule
+from .swaps import SwapKind, SwapPlan
 
 #: Mixing coefficients above this leave the safely perturbative regime.
 MIXING_WARN_THRESHOLD = 0.3
@@ -139,7 +139,9 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         E_s = E0(0, s) + h^2 / (E0(0, s) - E0(1, -s)).
 
     Raises when a denominator degenerates (zeeman_z * s = hbar_omega0 / 2),
-    where the expansion breaks down; warns when a |C| exceeds
+    where the expansion breaks down, and when a level or the splitting
+    overflows, as the shift h^2 / (E0(0, s) - E0(1, -s)) does once
+    |gradient_coupling| exceeds about 1.9e154; warns when a |C| exceeds
     ``MIXING_WARN_THRESHOLD``.
     """
     check_type(dot, DotSpec, "dot")
@@ -157,6 +159,16 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
             )
         energies[s] = e_ground + h * h / denom
         mixings[s] = h / denom
+    omega = abs(energies[+1] - energies[-1])
+    # a level, or a mixing coefficient (nan only where its level is), that is
+    # not finite leaves omega nan or inf too
+    if not math.isfinite(omega):
+        raise SingularityError(
+            f"pseudospin levels are not finite (e_plus = {energies[+1]!r}, "
+            f"e_minus = {energies[-1]!r}, omega = {omega!r}) at "
+            f"gradient_coupling = {dot.gradient_coupling!r}: the second-order shift "
+            "h^2 / (E0(0, s) - E0(1, -s)) or the splitting |e_plus - e_minus| overflows"
+        )
     if max(abs(mixings[+1]), abs(mixings[-1])) > MIXING_WARN_THRESHOLD:
         warnings.warn(
             f"mixing coefficient exceeds {MIXING_WARN_THRESHOLD}; "
@@ -168,7 +180,7 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         e_minus=energies[-1],
         c_plus=mixings[+1],
         c_minus=mixings[-1],
-        omega=abs(energies[+1] - energies[-1]),
+        omega=omega,
     )
 
 
@@ -341,7 +353,7 @@ def map_to_swap(
             )
 
     feasible = not failures
-    plan = solve_schedule(m, n, tau) if feasible else None
+    plan = SwapPlan(m, n, tau) if feasible else None
     return SwapFeasibility(
         m=m,
         n=n,

@@ -14,8 +14,9 @@ class ValidationError(ValueError):
 class SingularityError(ArithmeticError):
     """A parameter combination hits an exact physical singularity.
 
-    Raised for degenerate perturbation denominators, the charge-gap /
-    qubit-splitting resonance, and a vanishing tunneling product.
+    Raised for degenerate perturbation denominators, perturbed levels that
+    overflow, the charge-gap / qubit-splitting resonance, and a vanishing
+    tunneling product.
     """
 
 

@@ -31,14 +31,14 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import PhaseTriple, propagator_matrix
+from .dynamics import PhaseTriple, accumulate_phases, propagator_matrix
 from .errors import ValidationError, check_finite, check_integer, check_iterable, check_real, check_type
 from .seeding import DEFAULT_SEED, check_seed, stream
-from .swaps import SWAP_MATRIX
+from .swaps import SWAP_MATRIX, SwapPlan
 
 #: Swap-point phases used as the default fluctuation mean: the (m, n) = (2, 1)
 #: solution (anisotropy 3).
-SWAP_POINT = PhaseTriple(math.pi, 3.0 * math.pi, math.pi)
+SWAP_POINT = accumulate_phases(SwapPlan(2, 1, 1.0).schedule(), 1.0)
 
 #: Default Monte Carlo sample count.
 DEFAULT_SAMPLES = 10**6

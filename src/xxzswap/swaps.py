@@ -67,7 +67,8 @@ class SwapPlan:
 
     ``params`` and ``kind`` are derived from (m, n, tau), never passed in, so
     every plan is exact by construction; :func:`verify_swap` is its
-    numerical check.
+    numerical check. Negative m, n (hence negative J or Gamma) are allowed;
+    the phase conditions are sign symmetric.
     """
 
     m: int
@@ -113,16 +114,6 @@ class VerificationReport:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.trace_overlap <= 1.0 + 1e-12:
             raise ValidationError(f"trace overlap out of range: {self.trace_overlap!r}")
-
-
-def solve_schedule(m: int, n: int, tau: float) -> SwapPlan:
-    """Constant-parameter solution for integers (m, n) over duration tau.
-
-    Negative m, n (hence negative J or Gamma) are allowed; the phase
-    conditions are sign symmetric. m = n is rejected because phi_x = 0 never
-    mixes |01> with |10>.
-    """
-    return SwapPlan(m, n, tau)
 
 
 def classify_outcome(m: int, n: int) -> SwapKind:
@@ -191,13 +182,16 @@ def verify_schedule(
     the fidelity check already bounds it. Schedules that miss the phase
     conditions, detuned ones for example, simply fail, with the deviation
     quantified in the report. Failure is reported, not raised; a negative or
-    non-finite tolerance raises.
+    non-finite tolerance raises, and so does one of 1 or more, at which
+    every schedule would pass.
     """
     check_type(schedule, PulseSchedule, "schedule")
     phases = accumulate_phases(schedule, schedule.total_duration)
     kind = SwapKind(kind)
     n_states = check_integer(n_states, "n_states", "nonnegative")
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
+    if tolerance >= 1.0:  # overlap and fidelity are never negative, so every schedule would pass
+        raise ValidationError(f"tolerance must be below 1, got {tolerance!r}")
     seed = check_seed(seed)
     U = propagator_matrix(phases)
     trace_overlap, global_phase, max_entry_deviation = _compare_to_target(U, kind)
@@ -268,7 +262,7 @@ def delta_feasibility_scan(
         for n in n_list:
             if m == n:
                 continue
-            plan = solve_schedule(m, n, tau)
+            plan = SwapPlan(m, n, tau)
             phases = accumulate_phases(plan.schedule(), plan.tau)
             overlap, phase, _ = _compare_to_target(propagator_matrix(phases), plan.kind)
             rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))

@@ -14,6 +14,7 @@ from xxzswap import (
     FluctuationSpec,
     PhaseTriple,
     QubitAmplitudes,
+    SwapPlan,
     XxzParams,
     average_fidelity_analytic,
     delta_feasibility_scan,
@@ -27,7 +28,6 @@ from xxzswap import (
     propagator_matrix,
     reduce_to_qubit,
     reduced_determinant_closed_form,
-    solve_schedule,
     verify_swap,
 )
 
@@ -47,7 +47,7 @@ def test_criterion_1_swap_exactness():
         for n in range(-5, 6):
             if m == n or (m - n) % 2 == 0:
                 continue
-            rep = verify_swap(solve_schedule(m, n, 1.0), tolerance=1e-10, n_states=50)
+            rep = verify_swap(SwapPlan(m, n, 1.0), tolerance=1e-10, n_states=50)
             worst_overlap = min(worst_overlap, rep.trace_overlap)
             worst_fidelity = min(worst_fidelity, rep.min_state_fidelity)
             count += 1

@@ -133,6 +133,7 @@ class TestSwapSolve:
             SOLVE + ["--seed", str(2**128 + 1)],
             SOLVE + ["--tolerance", "-1"],
             SOLVE + ["--tolerance", "nan"],
+            SOLVE + ["--tolerance", "1"],
             SOLVE + ["--m", "9" * 400],
             SWEEP + ["--max-xz", "inf"],
             SWEEP + ["--max-xz", "nan"],
@@ -142,7 +143,7 @@ class TestSwapSolve:
             SWEEP + ["--max-h", "1e301"],
         ],
         ids=[
-            "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance",
+            "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance", "unit-tolerance",
             "m-beyond-float-range", "sweep-inf-max-xz", "sweep-nan-max-xz",
             "sweep-inf-max-h", "sweep-nan-max-h", "sweep-huge-max-xz", "sweep-huge-max-h",
         ],
@@ -468,6 +469,30 @@ class TestPseudospinMap:
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {denominator}")
+        assert result.stderr.count("\n") == 1  # one line, no traceback
+
+    def test_overflowing_levels_exit_singular(self, tmp_path):
+        # each dot passes its own checks, but its second-order shift overflows
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in ("dot_i", "dot_j"):
+            config[key] = {
+                "hbar_omega0": 1e300, "zeeman_z": 2e299, "gradient_coupling": 1e299,
+                "g_times_b": 0.05,
+            }
+        config["coupling"] = {"U": 1e200, "V": 0.0, "t00": 0.05, "t11": 0.05, "t12": 0.02}
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        src = str(Path(cli.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "xxzswap.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: pseudospin levels are not finite")
+        assert "gradient_coupling = 1e+299" in result.stderr
         assert result.stderr.count("\n") == 1  # one line, no traceback
 
     def test_overflowing_gap_exit_usage(self, tmp_path, capsys):

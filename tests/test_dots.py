@@ -111,6 +111,15 @@ class TestPerturbedLevels:
         with pytest.raises(SingularityError, match="degenerate"):
             perturbed_levels(DotSpec(1.0, -0.5, 0.1, 0.1))
 
+    def test_overflowing_second_order_shift_raises(self):
+        # the dot passes its own checks, but h^2 overflows to inf
+        dot = DotSpec(1e300, 2e299, 1e299, 0.05)
+        with pytest.raises(SingularityError, match=r"second-order shift .* overflows") as info:
+            perturbed_levels(dot)
+        assert "gradient_coupling = 1e+299" in str(info.value)
+        with pytest.raises(SingularityError, match="not finite"):
+            effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
+
     def test_large_mixing_warns(self):
         with pytest.warns(UserWarning, match="exceeds 0.3"):
             perturbed_levels(DotSpec(1.0, 0.42, 0.3, 0.3))

@@ -24,7 +24,6 @@ from xxzswap import (
     make_product_state,
     propagate,
     reduce_to_qubit,
-    solve_schedule,
     verify_schedule,
     verify_swap,
 )
@@ -37,7 +36,7 @@ EPS = np.finfo(float).eps
 
 class TestSolveSchedule:
     def test_anisotropic_swap(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         assert plan.params.J == pytest.approx(PI)
         assert plan.params.Delta == pytest.approx(3.0)
         assert plan.params.Gamma == pytest.approx(PI)
@@ -45,14 +44,14 @@ class TestSolveSchedule:
         assert plan.delta_at_least_one
 
     def test_isotropic_swap(self):
-        plan = solve_schedule(1, 0, 1.0)
+        plan = SwapPlan(1, 0, 1.0)
         assert plan.params.J == pytest.approx(PI)
         assert plan.params.Delta == pytest.approx(1.0)
         assert plan.params.Gamma == 0.0
         assert plan.kind is SwapKind.SWAP
 
     def test_even_difference_returns_to_self(self):
-        plan = solve_schedule(3, 1, 1.0)
+        plan = SwapPlan(3, 1, 1.0)
         assert plan.params.J == pytest.approx(2 * PI)
         assert plan.params.Delta == pytest.approx(2.0)
         assert plan.params.Gamma == pytest.approx(PI)
@@ -60,18 +59,18 @@ class TestSolveSchedule:
 
     def test_degenerate_and_invalid_inputs(self):
         with pytest.raises(ValidationError, match="m = n"):
-            solve_schedule(1, 1, 1.0)
+            SwapPlan(1, 1, 1.0)
         with pytest.raises(ValidationError, match="positive"):
-            solve_schedule(2, 1, 0.0)
+            SwapPlan(2, 1, 0.0)
         with pytest.raises(ValidationError, match="positive"):
-            solve_schedule(2, 1, -1.0)
+            SwapPlan(2, 1, -1.0)
         with pytest.raises(ValidationError, match="integer"):
-            solve_schedule(2.5, 1, 1.0)
+            SwapPlan(2.5, 1, 1.0)
         # beyond 2**53, and far beyond the float range where (m - n) pi overflows
         for m, n in ((2**53 + 1, 0), (1, -(2**53) - 1), (10**400, 1), (2, -(10**400))):
             with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
-                solve_schedule(m, n, 1.0)
-        assert solve_schedule(2**53, 2**53 - 1, 1.0).kind is SwapKind.SWAP
+                SwapPlan(m, n, 1.0)
+        assert SwapPlan(2**53, 2**53 - 1, 1.0).kind is SwapKind.SWAP
 
     def test_conditions_hold_by_construction(self):
         for m in range(-5, 6):
@@ -79,7 +78,7 @@ class TestSolveSchedule:
                 if m == n:
                     continue
                 for tau in (0.37, 1.0, 4.5):
-                    plan = solve_schedule(m, n, tau)
+                    plan = SwapPlan(m, n, tau)
                     p = plan.params
                     assert abs(p.J * tau - (m - n) * PI) < 1e-12
                     assert abs(p.J * p.Delta * tau - (m + n) * PI) < 1e-12
@@ -92,7 +91,7 @@ class TestSolveSchedule:
             SwapPlan(2, 1, 1.0, kind=SwapKind.SWAP)
         for m, n, tau in ((2, 1, 1.0), (np.int64(-3), np.int32(3), 0.7), (5, -4, np.float64(2.5))):
             plan = SwapPlan(m, n, tau)
-            assert plan == solve_schedule(m, n, tau)
+            assert plan == SwapPlan(m, n, tau)
             assert type(plan.m) is int and type(plan.n) is int and type(plan.tau) is float
         assert SwapPlan(-3, 3, 0.7).params.Delta == 0.0
         assert math.copysign(1.0, SwapPlan(-3, 3, 0.7).params.Delta) == 1.0
@@ -116,7 +115,7 @@ class TestSolveSchedule:
             cases.append((m, n, float(10 ** rng.uniform(-4, 4))))
         for m, n, tau in cases:
             if m != n:
-                plan = solve_schedule(np.int64(m), n, tau)
+                plan = SwapPlan(np.int64(m), n, tau)
                 assert (plan.m, plan.n) == (m, n)
                 phases = accumulate_phases(plan.schedule(), plan.tau)
                 targets = ((m - n) * PI, (m + n) * PI, n * PI)
@@ -138,7 +137,7 @@ class TestClassifyOutcome:
 
 class TestVerifySwap:
     def test_anisotropic_plan_passes(self):
-        report = verify_swap(solve_schedule(2, 1, 1.0))
+        report = verify_swap(SwapPlan(2, 1, 1.0))
         assert report.passed
         assert report.trace_overlap == pytest.approx(1.0, abs=1e-12)
         assert report.global_phase == pytest.approx(PI / 4, abs=1e-12)
@@ -148,24 +147,24 @@ class TestVerifySwap:
         assert report.states_checked == 50
 
     def test_isotropic_plan_passes(self):
-        report = verify_swap(solve_schedule(1, 0, 1.0))
+        report = verify_swap(SwapPlan(1, 0, 1.0))
         assert report.passed
         assert report.trace_overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_return_to_self_against_identity(self):
-        report = verify_swap(solve_schedule(3, 1, 1.0))
+        report = verify_swap(SwapPlan(3, 1, 1.0))
         assert report.passed
         assert report.trace_overlap == pytest.approx(1.0, abs=1e-12)
         assert report.min_state_fidelity >= 1 - 1e-10
 
     def test_report_rejects_an_overlap_outside_the_unit_interval(self):
-        report = verify_swap(solve_schedule(2, 1, 1.0))
+        report = verify_swap(SwapPlan(2, 1, 1.0))
         for overlap in (-1e-3, 1.0 + 1e-9, math.nan):
             with pytest.raises(ValidationError, match="trace overlap out of range"):
                 dataclasses.replace(report, trace_overlap=overlap)
 
     def test_detuned_schedule_fails(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         detuned = XxzParams(plan.params.J * 1.01, plan.params.Delta, plan.params.Gamma)
         report = verify_schedule(
             PulseSchedule.constant(detuned, plan.tau), SwapKind.SWAP, tolerance=1e-6
@@ -174,13 +173,24 @@ class TestVerifySwap:
         assert report.trace_overlap < 1.0 - 1e-6
 
     def test_tolerance_validated(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         for tolerance in (-1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="tolerance"):
                 verify_swap(plan, tolerance=tolerance)
 
+    def test_tolerance_of_one_or_more_is_rejected(self):
+        # at tolerance 1 both pass conditions hold for any schedule, even one
+        # with no exchange at all
+        idle = PulseSchedule.constant(XxzParams(0.0, 1.0, 0.0), 1.0)
+        for tolerance in (1.0, 2.0, np.nextafter(1.0, 2.0)):
+            with pytest.raises(ValidationError, match="tolerance must be below 1"):
+                verify_schedule(idle, "swap", tolerance=tolerance)
+            with pytest.raises(ValidationError, match="tolerance must be below 1"):
+                verify_swap(SwapPlan(2, 1, 1.0), tolerance=tolerance)
+        assert not verify_schedule(idle, "swap", tolerance=0.25).passed
+
     def test_seed_validated(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         for seed in (1.5, True, "7", None):
             with pytest.raises(ValidationError, match="seed must be an integer"):
                 verify_swap(plan, seed=seed)
@@ -193,7 +203,7 @@ class TestVerifySwap:
         assert verify_swap(plan, seed=np.int64(7)) == verify_swap(plan, seed=7)
 
     def test_state_count_validated(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         schedule = PulseSchedule.constant(plan.params, plan.tau)
         for n_states in (True, 2.5, "3", None):
             with pytest.raises(ValidationError, match="n_states must be an integer"):
@@ -208,7 +218,7 @@ class TestVerifySwap:
             assert type(report.states_checked) is int
 
     def test_negative_state_count_rejected(self):
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         with pytest.raises(ValidationError, match="n_states must be nonnegative"):
             verify_swap(plan, n_states=-1)
         with pytest.raises(ValidationError, match="n_states must be nonnegative"):
@@ -216,7 +226,7 @@ class TestVerifySwap:
         assert verify_swap(plan, n_states=0).states_checked == 0
 
     def test_kind_may_be_its_string_value(self):
-        for plan in (solve_schedule(2, 1, 1.0), solve_schedule(3, 1, 1.0)):
+        for plan in (SwapPlan(2, 1, 1.0), SwapPlan(3, 1, 1.0)):
             report = verify_schedule(plan.schedule(), plan.kind.value)
             assert report == verify_schedule(plan.schedule(), plan.kind) == verify_swap(plan)
             assert report.passed
@@ -226,13 +236,13 @@ class TestVerifySwap:
                 verify_schedule(plan.schedule(), kind)
 
     def test_report_is_reproducible(self):
-        a = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
-        b = verify_swap(solve_schedule(2, 1, 1.0), seed=7)
+        a = verify_swap(SwapPlan(2, 1, 1.0), seed=7)
+        b = verify_swap(SwapPlan(2, 1, 1.0), seed=7)
         assert a == b
 
     def test_multisegment_schedule_hitting_conditions_passes(self):
         # split the (2, 1) solution into two unequal constant stretches
-        params = solve_schedule(2, 1, 1.0).params
+        params = SwapPlan(2, 1, 1.0).params
         schedule = PulseSchedule((Segment(params, 0.3), Segment(params, 0.7)))
         report = verify_schedule(schedule, SwapKind.SWAP)
         assert report.passed
@@ -254,7 +264,7 @@ def scalar_reference(phases, kind, n_states, seed):
 
 
 def detuned_schedule():
-    plan = solve_schedule(2, 1, 1.0)
+    plan = SwapPlan(2, 1, 1.0)
     detuned = XxzParams(plan.params.J * 1.01, plan.params.Delta, plan.params.Gamma)
     return PulseSchedule.constant(detuned, plan.tau)
 
@@ -263,11 +273,11 @@ class TestBatchedVerifier:
     @pytest.mark.parametrize(
         "schedule, kind, n_states, seed, passes",
         [
-            (solve_schedule(2, 1, 1.0).schedule(), SwapKind.SWAP, 50, 7, True),
-            (solve_schedule(-2, 1, 0.7).schedule(), SwapKind.SWAP, 50, 42424242, True),
-            (solve_schedule(3, 1, 1.3).schedule(), SwapKind.RETURN_TO_SELF, 50, 99, True),
+            (SwapPlan(2, 1, 1.0).schedule(), SwapKind.SWAP, 50, 7, True),
+            (SwapPlan(-2, 1, 0.7).schedule(), SwapKind.SWAP, 50, 42424242, True),
+            (SwapPlan(3, 1, 1.3).schedule(), SwapKind.RETURN_TO_SELF, 50, 99, True),
             (detuned_schedule(), SwapKind.SWAP, 50, 3, False),
-            (solve_schedule(2, 1, 1.0).schedule(), SwapKind.SWAP, 0, 7, True),
+            (SwapPlan(2, 1, 1.0).schedule(), SwapKind.SWAP, 0, 7, True),
         ],
         ids=["swap", "swap-negative-n", "return-to-self", "detuned", "no-states"],
     )
@@ -288,7 +298,7 @@ class TestBatchedVerifier:
     def test_fidelity_bounds_reported_impurity(self, scale):
         # det(rho) = l (1 - l) <= l_min <= 1 - <chi|rho|chi> for the reduced
         # eigenvalues l, so passing the fidelity check bounds the impurity
-        plan = solve_schedule(2, 1, 1.0)
+        plan = SwapPlan(2, 1, 1.0)
         detuned = XxzParams(plan.params.J * scale, plan.params.Delta, plan.params.Gamma * scale)
         report = verify_schedule(PulseSchedule.constant(detuned, plan.tau), SwapKind.SWAP)
         assert not report.passed
@@ -296,7 +306,7 @@ class TestBatchedVerifier:
         assert report.max_reduced_impurity <= 1 - report.min_state_fidelity + 1e-15
 
     def test_plan_and_schedule_agree(self):
-        plan = solve_schedule(5, -4, 0.7)
+        plan = SwapPlan(5, -4, 0.7)
         assert verify_swap(plan, seed=11) == verify_schedule(plan.schedule(), plan.kind, seed=11)
 
     def test_non_finite_state_fails(self, monkeypatch):
@@ -306,7 +316,7 @@ class TestBatchedVerifier:
             return qubits
 
         monkeypatch.setattr(xxzswap.swaps, "_random_qubits", with_nan)
-        report = verify_swap(solve_schedule(2, 1, 1.0))
+        report = verify_swap(SwapPlan(2, 1, 1.0))
         assert math.isnan(report.min_state_fidelity)
         assert math.isnan(report.max_reduced_impurity)
         assert not report.passed
@@ -341,7 +351,7 @@ class TestOddPairsProperty:
             for n in range(-5, 6):
                 if m == n or (m - n) % 2 == 0:
                     continue
-                report = verify_swap(solve_schedule(m, n, 1.0), n_states=5)
+                report = verify_swap(SwapPlan(m, n, 1.0), n_states=5)
                 assert report.trace_overlap >= 1 - 1e-10, (m, n)
                 assert report.min_state_fidelity >= 1 - 1e-10, (m, n)
                 assert report.max_reduced_impurity < 1e-10, (m, n)
@@ -355,7 +365,7 @@ class TestOddPairsProperty:
             for n in range(-3, 4):
                 if m == n or (m - n) % 2 != 0:
                     continue
-                plan = solve_schedule(m, n, 1.0)
+                plan = SwapPlan(m, n, 1.0)
                 assert classify_outcome(m, n) is plan.kind
                 report = verify_swap(plan, n_states=5)
                 assert report.passed, (m, n)
@@ -407,7 +417,7 @@ class TestFeasibilityScan:
             rows = delta_feasibility_scan(range(-4, 5), range(-4, 5), tau)
         assert len(rows) == 9 * 9 - 9
         for row in rows:
-            report = verify_swap(solve_schedule(row.m, row.n, tau))
+            report = verify_swap(SwapPlan(row.m, row.n, tau))
             assert (row.trace_overlap, row.global_phase) == (
                 report.trace_overlap, report.global_phase
             ), (row.m, row.n)
@@ -442,7 +452,7 @@ class TestIsSwapPoint:
     def test_phases_summed_over_segments(self, m, n):
         # an exact plan split into k equal segments accumulates a few ulp of
         # rounding on phases of size ~2e6 pi, beyond an absolute 1e-9
-        plan = solve_schedule(m, n, 0.7)
+        plan = SwapPlan(m, n, 0.7)
         for k in (13, 50, 100):
             schedule = PulseSchedule(tuple(Segment(plan.params, 0.7 / k) for _ in range(k)))
             phases = accumulate_phases(schedule, schedule.total_duration)

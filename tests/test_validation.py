@@ -18,6 +18,7 @@ from xxzswap import (
     PulseSchedule,
     QubitAmplitudes,
     Segment,
+    SwapPlan,
     TwoQubitPureState,
     ValidationError,
     XxzParams,
@@ -39,7 +40,6 @@ from xxzswap import (
     propagator_matrix,
     reduce_to_qubit,
     reduced_determinant_closed_form,
-    solve_schedule,
     state_ensemble_fidelity,
     verify_schedule,
     verify_swap,
@@ -47,7 +47,7 @@ from xxzswap import (
 from xxzswap.errors import check_real
 
 PARAMS = XxzParams(1.0, 1.0, 1.0)
-PLAN = solve_schedule(2, 1, 1.0)
+PLAN = SwapPlan(2, 1, 1.0)
 ORIGIN = PhaseTriple(0.0, 0.0, 0.0)
 DOT = dict(hbar_omega0=1.0, zeeman_z=0.2, gradient_coupling=0.1, g_times_b=0.05)
 COUPLING = dict(U=1.0, V=0.5, t00=0.05, t11=0.05, t12=0.02)
@@ -67,8 +67,8 @@ def fields(cls, base, name):
 # (argument, call with the value in that argument's place, whether it carries
 # a sign bound): each call is valid at the argument's base value
 TARGETS = [
-    ("tau", lambda v: solve_schedule(2, 1, v), True),
-    ("tolerance", lambda v: verify_swap(solve_schedule(2, 1, 1.0), tolerance=v), True),
+    ("tau", lambda v: SwapPlan(2, 1, v), True),
+    ("tolerance", lambda v: verify_swap(SwapPlan(2, 1, 1.0), tolerance=v), True),
     ("tolerance", lambda v: map_to_swap(effective(), 1, 0, tolerance=v), True),
     ("duration", lambda v: Segment(PARAMS, v), True),
     ("t", lambda v: accumulate_phases(PulseSchedule.constant(PARAMS, 2.0), v), True),
