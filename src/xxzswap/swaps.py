@@ -26,6 +26,7 @@ from .dynamics import (
     PhaseTriple,
     PulseSchedule,
     XxzParams,
+    _propagators,
     accumulate_phases,
     propagator_matrix,
 )
@@ -134,16 +135,19 @@ def classify_outcome(m: int, n: int) -> SwapKind:
 
 
 def is_swap_point(phases: PhaseTriple) -> bool:
-    """True when the phases solve the swap conditions with odd |m - n|:
-    phi_x = d pi (d odd), phi_h = n pi, phi_z = (2n + d) pi.
+    """True when the phases lie in the swap set with odd |m - n|:
+    phi_x = d pi (d odd), phi_h = k pi, phi_z = (d + 2k + 4j) pi for integers
+    d, k, j. The propagator sees phi_h only modulo 2 pi and phi_z only modulo
+    4 pi; the plans of :class:`SwapPlan` are the points with j = 0.
 
     Each residual may reach ``PHASE_MATCH_TOL``, or ``PHASE_SUM_TOL`` times
     its target where that is larger.
     """
     check_type(phases, PhaseTriple, "phases")
     d = round(phases.phi_x / math.pi)
-    n = round(phases.phi_h / math.pi)
-    targets = (d * math.pi, (2 * n + d) * math.pi, n * math.pi)
+    k = round(phases.phi_h / math.pi)
+    j = round((phases.phi_z / math.pi - d - 2 * k) / 4)
+    targets = (d * math.pi, (d + 2 * k + 4 * j) * math.pi, k * math.pi)
     return d % 2 != 0 and all(
         abs(p - t) <= max(PHASE_MATCH_TOL, PHASE_SUM_TOL * abs(t))
         for p, t in zip((phases.phi_x, phases.phi_z, phases.phi_h), targets)
@@ -182,19 +186,20 @@ def verify_schedule(
     the fidelity check already bounds it. Schedules that miss the phase
     conditions, detuned ones for example, simply fail, with the deviation
     quantified in the report. Failure is reported, not raised; a negative or
-    non-finite tolerance raises, and so does one of 1 or more, at which
-    every schedule would pass.
+    non-finite tolerance raises, and so does one of 1/2 or more: a schedule
+    with no exchange, or a plan checked against the opposite kind, has
+    |Tr(target^dag U)| <= 2 and so a trace overlap of up to 1/2.
     """
     check_type(schedule, PulseSchedule, "schedule")
     phases = accumulate_phases(schedule, schedule.total_duration)
     kind = SwapKind(kind)
     n_states = check_integer(n_states, "n_states", "nonnegative")
     tolerance = check_real(tolerance, "tolerance", "nonnegative")
-    if tolerance >= 1.0:  # overlap and fidelity are never negative, so every schedule would pass
-        raise ValidationError(f"tolerance must be below 1, got {tolerance!r}")
+    if tolerance >= 0.5:
+        raise ValidationError(f"tolerance must be below 1/2, got {tolerance!r}")
     seed = check_seed(seed)
     U = propagator_matrix(phases)
-    trace_overlap, global_phase, max_entry_deviation = _compare_to_target(U, kind)
+    [(trace_overlap, global_phase, max_entry_deviation)] = _compare_to_target(U[None], [kind])
 
     # state k is alpha_k (x) beta_k with (alpha_k, beta_k) = qubits[k]
     qubits = _random_qubits(stream(seed, 0), 2 * n_states).reshape(n_states, 2, 2)
@@ -219,15 +224,18 @@ def verify_schedule(
     )
 
 
-def _compare_to_target(U: np.ndarray, kind: SwapKind) -> tuple[float, float, float]:
-    """(trace_overlap, global_phase, max_entry_deviation) of the propagator
-    ``U`` against SWAP (identity for return-to-self), the deviation taken
-    after aligning the target's global phase."""
-    target = SWAP_MATRIX if kind is SwapKind.SWAP else np.eye(4, dtype=complex)
-    tr = complex(np.trace(target.conj().T @ U))
-    global_phase = math.atan2(tr.imag, tr.real)
-    aligned = np.exp(1j * global_phase) * target
-    return min(abs(tr) / 4.0, 1.0), global_phase, float(np.max(np.abs(U - aligned)))
+def _compare_to_target(U: np.ndarray, kinds: list[SwapKind]) -> list[tuple[float, float, float]]:
+    """(trace_overlap, global_phase, max_entry_deviation) of each propagator of
+    the (N, 4, 4) stack ``U`` against SWAP (identity for return-to-self) as
+    ``kinds`` says, the deviation taken after aligning the target's global phase."""
+    swap = np.reshape([kind is SwapKind.SWAP for kind in kinds], (-1, 1, 1))
+    target = np.where(swap, SWAP_MATRIX, np.eye(4, dtype=complex))
+    traces = np.trace(np.swapaxes(target.conj(), -1, -2) @ U, axis1=-2, axis2=-1).tolist()
+    # abs and atan2 per trace: numpy's stacked abs and arctan2 round differently
+    phases = [math.atan2(tr.imag, tr.real) for tr in traces]
+    aligned = np.exp(1j * np.array(phases))[:, None, None] * target
+    deviations = np.max(np.abs(U - aligned), axis=(-2, -1)).tolist()
+    return [(min(abs(tr) / 4.0, 1.0), p, d) for tr, p, d in zip(traces, phases, deviations)]
 
 
 @dataclass(frozen=True)
@@ -250,21 +258,26 @@ def delta_feasibility_scan(
 
     Rows carry the operator-level trace overlap and global phase of the plan's
     propagator against its target; :func:`verify_swap` is the per-state
-    check. Rows are sorted by (delta, m, n), so evaluating pairs in parallel
-    and merging would produce the same table. The scan records outcomes for
-    every pair, including anisotropies below 1 reached through negative n.
+    check. Each m-row of plans is compared with its targets in one stacked
+    pass, so the scan holds one row's propagators at a time. Rows are sorted
+    by (delta, m, n), so evaluating pairs in parallel and merging would
+    produce the same table. The scan records outcomes for every pair,
+    including anisotropies below 1 reached through negative n.
     """
     m_list, n_list = check_iterable(m_values, "m_values"), check_iterable(n_values, "n_values")
     if not m_list or not n_list:
         raise ValidationError("scan ranges must be nonempty")
     rows = []
     for m in m_list:
+        pairs = []
         for n in n_list:
             if m == n:
                 continue
             plan = SwapPlan(m, n, tau)
-            phases = accumulate_phases(plan.schedule(), plan.tau)
-            overlap, phase, _ = _compare_to_target(propagator_matrix(phases), plan.kind)
+            pairs.append((n, plan, accumulate_phases(plan.schedule(), plan.tau)))
+        phases = np.reshape([(p.phi_x, p.phi_z, p.phi_h) for _, _, p in pairs], (-1, 3)).T
+        compared = _compare_to_target(_propagators(*phases), [plan.kind for _, plan, _ in pairs])
+        for (n, plan, _), (overlap, phase, _) in zip(pairs, compared):
             rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))
     rows.sort(key=lambda r: (r.delta, r.m, r.n))
     return rows

@@ -141,11 +141,13 @@ class TestSwapSolve:
             SWEEP + ["--max-h", "nan"],
             SWEEP + ["--max-xz", "1e308", "--max-h", "1"],
             SWEEP + ["--max-h", "1e301"],
+            SOLVE + ["--tolerance", "0.5"],
         ],
         ids=[
             "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance", "unit-tolerance",
             "m-beyond-float-range", "sweep-inf-max-xz", "sweep-nan-max-xz",
             "sweep-inf-max-h", "sweep-nan-max-h", "sweep-huge-max-xz", "sweep-huge-max-h",
+            "half-tolerance",
         ],
     )
     def test_out_of_range_option_exit_usage(self, argv, capsys):

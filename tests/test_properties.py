@@ -1,12 +1,24 @@
 """Property tests of the stacked closed forms: unitarity, phase additivity
-under composition, the range of the gate fidelity, and agreement with the
-dense-exponential oracle."""
+under composition, the range of the gate fidelity, agreement with the
+dense-exponential oracle, and the swap set's period in the Zeeman phase."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xxzswap import PhaseTriple, gate_fidelity
+from xxzswap import (
+    PhaseTriple,
+    PulseSchedule,
+    SwapKind,
+    SwapPlan,
+    XxzParams,
+    accumulate_phases,
+    gate_fidelity,
+    is_swap_point,
+    verify_schedule,
+)
 from xxzswap.dynamics import _exponentials, _propagators
 
 # derandomized: every run tries the same examples and keeps no database
@@ -53,3 +65,23 @@ def test_closed_form_agrees_with_dense_oracle(cases):
     J, Delta, Gamma, t = cases.T
     closed = _propagators(J * t, J * Delta * t, Gamma * t)
     assert np.max(np.abs(closed - _exponentials(J, Delta, Gamma, t))) < 1e-10
+
+
+@PROPERTY
+@given(
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000),
+    st.floats(0.01, 100.0),
+)
+def test_swap_set_is_periodic_in_the_zeeman_phase(m, n, j, tau):
+    # Gamma = (n + 2j) pi / tau winds phi_h by j turns past the plan's n pi;
+    # one more pi on phi_h leaves the set
+    assume(m != n)
+    plan = SwapPlan(m, n, tau)
+    for extra, inside in ((0, True), (1, False)):
+        gamma = (n + 2 * j + extra) * math.pi / tau
+        schedule = PulseSchedule.constant(XxzParams(plan.params.J, plan.params.Delta, gamma), tau)
+        assert verify_schedule(schedule, plan.kind).passed is inside
+        swap = inside and plan.kind is SwapKind.SWAP
+        assert is_swap_point(accumulate_phases(schedule, tau)) is swap

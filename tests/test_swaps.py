@@ -3,6 +3,7 @@ and the anisotropy feasibility scan."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestVerifySwap:
             with pytest.raises(ValidationError, match="tolerance must be below 1"):
                 verify_swap(SwapPlan(2, 1, 1.0), tolerance=tolerance)
         assert not verify_schedule(idle, "swap", tolerance=0.25).passed
+
+    def test_tolerance_of_one_half_or_more_is_rejected(self):
+        # with no exchange, or against the opposite kind, |Tr(target^dag U)| <= 2:
+        # a trace overlap of 1/2, which any tolerance of 1/2 or more would pass
+        idle = PulseSchedule.constant(XxzParams(0.0, 1.0, 0.0), 1.0)
+        opposite = SwapPlan(2, 1, 1.0).schedule()
+        for schedule, kind in ((idle, "swap"), (opposite, "return_to_self")):
+            report = verify_schedule(schedule, kind, tolerance=0.49)
+            assert report.trace_overlap == pytest.approx(0.5) and not report.passed
+            for tolerance in (0.5, 0.99):
+                with pytest.raises(ValidationError, match="tolerance must be below 1/2, got"):
+                    verify_schedule(schedule, kind, tolerance=tolerance)
+        with pytest.raises(ValidationError, match="tolerance must be below 1/2"):
+            verify_swap(SwapPlan(2, 1, 1.0), tolerance=0.5)
 
     def test_seed_validated(self):
         plan = SwapPlan(2, 1, 1.0)
@@ -407,20 +422,50 @@ class TestFeasibilityScan:
         with pytest.raises(ValidationError, match="nonempty"):
             delta_feasibility_scan([], range(3))
 
+    BOXES = [
+        (range(-4, 5), range(-4, 5)),
+        # |m| and |n| at and near the 2**53 bound of a pair, m = n among them
+        (range(2**53 - 2, 2**53 + 1), [2**53 - 1, -(2**53), 1 - 2**53, 0]),
+        ([7], [7]),  # the only pair has m = n, so the table is empty
+        # numpy-integer ranges: rows keep the caller's m and n
+        (np.arange(-3, 4), np.arange(-3, 4, dtype=np.int32)),
+    ]
+
     @pytest.mark.parametrize("tau", [1.0, 0.83, 1.7])
     def test_rows_match_verify_swap_bitwise_without_drawing(self, tau, monkeypatch):
         def no_stream(seed, index):
             raise AssertionError("the scan opened a random stream")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(xxzswap.swaps, "stream", no_stream)
-            rows = delta_feasibility_scan(range(-4, 5), range(-4, 5), tau)
-        assert len(rows) == 9 * 9 - 9
-        for row in rows:
-            report = verify_swap(SwapPlan(row.m, row.n, tau))
-            assert (row.trace_overlap, row.global_phase) == (
-                report.trace_overlap, report.global_phase
-            ), (row.m, row.n)
+        for m_values, n_values in self.BOXES:
+            with monkeypatch.context() as patch:
+                patch.setattr(xxzswap.swaps, "stream", no_stream)
+                rows = delta_feasibility_scan(m_values, n_values, tau)
+            pairs = [(m, n) for m in m_values for n in n_values if m != n]
+            assert sorted((row.m, row.n) for row in rows) == sorted(pairs)
+            for row in rows:
+                assert (type(row.m), type(row.n)) == (type(m_values[0]), type(n_values[0]))
+                report = verify_swap(SwapPlan(row.m, row.n, tau))
+                assert (row.trace_overlap.hex(), row.global_phase.hex()) == (
+                    report.trace_overlap.hex(), report.global_phase.hex()
+                ), (row.m, row.n)
+
+    # (5k, 3k) at tau = 1e-300 has finite J and Gamma, but J Delta overflows
+    K = int(5e307 * 1e-300 / PI)
+
+    @pytest.mark.parametrize(
+        "m_values, n_values, tau, message",
+        [
+            ([0, 2**54], [1, 2.5], 1.0, "n must be an integer, got 2.5"),
+            ([0, 1], [1, 0], -1.0, "tau must be finite and positive, got -1.0"),
+            ([0, 1], [2.5, 0], -1.0, "n must be an integer, got 2.5"),
+            ([5 * K], [3 * K, 2.5], 1e-300, "phi_z must be finite, got inf"),
+        ],
+        ids=["pair-before-later-m", "tau", "pair-before-tau", "phases-before-later-pair"],
+    )
+    def test_first_failing_pair_in_m_major_order_raises(self, m_values, n_values, tau, message):
+        # each pair's plan and phases are built before the next pair's
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            delta_feasibility_scan(m_values, n_values, tau)
 
 
 class TestIsSwapPoint:
@@ -428,12 +473,16 @@ class TestIsSwapPoint:
         assert is_swap_point(PhaseTriple(PI, 3 * PI, PI))
         assert is_swap_point(PhaseTriple(PI, PI, 0.0))
         assert is_swap_point(PhaseTriple(3 * PI, PI, -PI))
+        # phi_h is seen modulo 2 pi and phi_z modulo 4 pi
+        assert is_swap_point(PhaseTriple(PI, PI, 2 * PI))
+        assert is_swap_point(PhaseTriple(PI, 5 * PI, 0.0))
 
     def test_rejects_non_points(self):
         assert not is_swap_point(PhaseTriple(0, 0, 0))
         assert not is_swap_point(PhaseTriple(2 * PI, 2 * PI, 0))  # even difference
         assert not is_swap_point(PhaseTriple(PI, 3 * PI, PI + 0.5))
         assert not is_swap_point(PhaseTriple(PI, 3 * PI + 0.5, PI))
+        assert not is_swap_point(PhaseTriple(PI, 3 * PI, 2 * PI))  # gate fidelity 0.467
 
     @pytest.mark.parametrize(
         "m, n",
