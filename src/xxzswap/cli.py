@@ -201,11 +201,8 @@ def cmd_pseudospin_map(args) -> int:
 
 
 def _propagator_deviations(rng: np.random.Generator, count: int) -> np.ndarray:
-    # per case J, Delta, Gamma in [-3, 3) and t in [1e-3, 5), from four
-    # uniforms scaled as rng.uniform scales them: low + (high - low) u
-    u = rng.random((count, 4))
-    J, Delta, Gamma = -3.0 + 6.0 * u[:, :3].T
-    t = 1e-3 + (5.0 - 1e-3) * u[:, 3]
+    # per case J, Delta, Gamma in [-3, 3) and t in [1e-3, 5)
+    J, Delta, Gamma, t = rng.uniform((-3.0, -3.0, -3.0, 1e-3), (3.0, 3.0, 3.0, 5.0), (count, 4)).T
     closed = _propagators(J * t, J * Delta * t, Gamma * t)
     return np.abs(closed - _exponentials(J, Delta, Gamma, t))
 

@@ -112,10 +112,6 @@ class VerificationReport:
     max_reduced_impurity: float  # largest purity determinant seen
     states_checked: int
 
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.trace_overlap <= 1.0 + 1e-12:
-            raise ValidationError(f"trace overlap out of range: {self.trace_overlap!r}")
-
 
 def classify_outcome(m: int, n: int) -> SwapKind:
     """Parity rule: odd |m - n| hands each qubit its partner's initial state,

@@ -1,7 +1,6 @@
 """Tests for swap-schedule solving, outcome classification, verification,
 and the anisotropy feasibility scan."""
 
-import dataclasses
 import math
 import re
 
@@ -96,16 +95,6 @@ class TestSolveSchedule:
             assert type(plan.m) is int and type(plan.n) is int and type(plan.tau) is float
         assert SwapPlan(-3, 3, 0.7).params.Delta == 0.0
         assert math.copysign(1.0, SwapPlan(-3, 3, 0.7).params.Delta) == 1.0
-        # the messages test_degenerate_and_invalid_inputs matches
-        with pytest.raises(ValidationError, match="m = n"):
-            SwapPlan(1, 1, 1.0)
-        with pytest.raises(ValidationError, match="integer"):
-            SwapPlan(2.5, 1, 1.0)
-        with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
-            SwapPlan(2**53 + 1, 0, 1.0)
-        for tau in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="positive"):
-                SwapPlan(2, 1, tau)
 
     def test_large_indices_accept_their_exact_solution(self):
         # an absolute tolerance rejected these from |n| ~ 1308 on
@@ -158,11 +147,13 @@ class TestVerifySwap:
         assert report.trace_overlap == pytest.approx(1.0, abs=1e-12)
         assert report.min_state_fidelity >= 1 - 1e-10
 
-    def test_report_rejects_an_overlap_outside_the_unit_interval(self):
-        report = verify_swap(SwapPlan(2, 1, 1.0))
-        for overlap in (-1e-3, 1.0 + 1e-9, math.nan):
-            with pytest.raises(ValidationError, match="trace overlap out of range"):
-                dataclasses.replace(report, trace_overlap=overlap)
+    def test_non_finite_propagator_is_reported_as_a_failure(self):
+        # phi_h + phi_z / 4 overflows, so the propagator and its overlap are nan
+        schedule = PulseSchedule.constant(XxzParams(1.7e308, 1.0, 1.7e308), 1.0)
+        with pytest.warns(RuntimeWarning) as record:
+            report = verify_schedule(schedule, "swap")
+        assert len(record) == 2
+        assert not report.passed and math.isnan(report.trace_overlap)
 
     def test_detuned_schedule_fails(self):
         plan = SwapPlan(2, 1, 1.0)
@@ -173,23 +164,6 @@ class TestVerifySwap:
         assert not report.passed
         assert report.trace_overlap < 1.0 - 1e-6
 
-    def test_tolerance_validated(self):
-        plan = SwapPlan(2, 1, 1.0)
-        for tolerance in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="tolerance"):
-                verify_swap(plan, tolerance=tolerance)
-
-    def test_tolerance_of_one_or_more_is_rejected(self):
-        # at tolerance 1 both pass conditions hold for any schedule, even one
-        # with no exchange at all
-        idle = PulseSchedule.constant(XxzParams(0.0, 1.0, 0.0), 1.0)
-        for tolerance in (1.0, 2.0, np.nextafter(1.0, 2.0)):
-            with pytest.raises(ValidationError, match="tolerance must be below 1"):
-                verify_schedule(idle, "swap", tolerance=tolerance)
-            with pytest.raises(ValidationError, match="tolerance must be below 1"):
-                verify_swap(SwapPlan(2, 1, 1.0), tolerance=tolerance)
-        assert not verify_schedule(idle, "swap", tolerance=0.25).passed
-
     def test_tolerance_of_one_half_or_more_is_rejected(self):
         # with no exchange, or against the opposite kind, |Tr(target^dag U)| <= 2:
         # a trace overlap of 1/2, which any tolerance of 1/2 or more would pass
@@ -198,7 +172,7 @@ class TestVerifySwap:
         for schedule, kind in ((idle, "swap"), (opposite, "return_to_self")):
             report = verify_schedule(schedule, kind, tolerance=0.49)
             assert report.trace_overlap == pytest.approx(0.5) and not report.passed
-            for tolerance in (0.5, 0.99):
+            for tolerance in (0.5, 0.99, 1.0, 2.0, np.nextafter(1.0, 2.0)):
                 with pytest.raises(ValidationError, match="tolerance must be below 1/2, got"):
                     verify_schedule(schedule, kind, tolerance=tolerance)
         with pytest.raises(ValidationError, match="tolerance must be below 1/2"):
@@ -216,29 +190,6 @@ class TestVerifySwap:
                 verify_schedule(PulseSchedule.constant(plan.params, plan.tau), plan.kind, seed=seed)
         assert verify_swap(plan, seed=2**128 - 1).passed
         assert verify_swap(plan, seed=np.int64(7)) == verify_swap(plan, seed=7)
-
-    def test_state_count_validated(self):
-        plan = SwapPlan(2, 1, 1.0)
-        schedule = PulseSchedule.constant(plan.params, plan.tau)
-        for n_states in (True, 2.5, "3", None):
-            with pytest.raises(ValidationError, match="n_states must be an integer"):
-                verify_swap(plan, n_states=n_states)
-            with pytest.raises(ValidationError, match="n_states must be an integer"):
-                verify_schedule(schedule, plan.kind, n_states=n_states)
-        for report in (
-            verify_swap(plan, n_states=np.int64(5)),
-            verify_schedule(schedule, plan.kind, n_states=np.int64(5)),
-        ):
-            assert report == verify_swap(plan, n_states=5)
-            assert type(report.states_checked) is int
-
-    def test_negative_state_count_rejected(self):
-        plan = SwapPlan(2, 1, 1.0)
-        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
-            verify_swap(plan, n_states=-1)
-        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
-            verify_schedule(plan.schedule(), plan.kind, n_states=-1)
-        assert verify_swap(plan, n_states=0).states_checked == 0
 
     def test_kind_may_be_its_string_value(self):
         for plan in (SwapPlan(2, 1, 1.0), SwapPlan(3, 1, 1.0)):

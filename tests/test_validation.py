@@ -202,18 +202,22 @@ COUNTS = [
     ("samples", lambda v: state_ensemble_fidelity(ORIGIN, "haar_product", samples=v), "positive"),
     ("n_states", lambda v: verify_swap(PLAN, n_states=v), "nonnegative"),
     ("n_states", lambda v: verify_schedule(PLAN.schedule(), "swap", n_states=v), "nonnegative"),
+    ("samples", lambda v: fidelity_grid([0.5], [0.5], samples=v)[0], "positive"),
 ]
 
 
 @pytest.mark.parametrize("name, call, bound", COUNTS, ids=[name for name, _, _ in COUNTS])
 def test_counts_are_integers_within_their_bound(name, call, bound):
     least = 1 if bound == "positive" else 0
-    for value in (None, "1", True, 1.0, math.nan):
+    for value in (None, "1", "10", True, 1.0, 2.5, 1e3, math.nan):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             call(value)
     with pytest.raises(ValidationError, match=f"{name} must be {bound}, got {least - 1}"):
         call(least - 1)
-    assert call(least) == call(np.int64(least))
+    # a numpy integer gives the same result, which carries the count as an int
+    result = call(np.int64(least))
+    count = getattr(result, "states_checked" if name == "n_states" else name)
+    assert result == call(least) and type(count) is int and count == least
 
 
 def test_mean_phases_must_be_a_phase_triple():
