@@ -164,6 +164,17 @@ class TestVerifySwap:
         assert not report.passed
         assert report.trace_overlap < 1.0 - 1e-6
 
+    def test_tolerance_of_one_or_more_is_rejected(self):
+        # at tolerance 1 both pass conditions hold for any schedule, even one
+        # with no exchange at all
+        idle = PulseSchedule.constant(XxzParams(0.0, 1.0, 0.0), 1.0)
+        for tolerance in (1.0, 2.0, np.nextafter(1.0, 2.0)):
+            with pytest.raises(ValidationError, match="tolerance must be below 1"):
+                verify_schedule(idle, "swap", tolerance=tolerance)
+            with pytest.raises(ValidationError, match="tolerance must be below 1"):
+                verify_swap(SwapPlan(2, 1, 1.0), tolerance=tolerance)
+        assert not verify_schedule(idle, "swap", tolerance=0.25).passed
+
     def test_tolerance_of_one_half_or_more_is_rejected(self):
         # with no exchange, or against the opposite kind, |Tr(target^dag U)| <= 2:
         # a trace overlap of 1/2, which any tolerance of 1/2 or more would pass
@@ -172,7 +183,7 @@ class TestVerifySwap:
         for schedule, kind in ((idle, "swap"), (opposite, "return_to_self")):
             report = verify_schedule(schedule, kind, tolerance=0.49)
             assert report.trace_overlap == pytest.approx(0.5) and not report.passed
-            for tolerance in (0.5, 0.99, 1.0, 2.0, np.nextafter(1.0, 2.0)):
+            for tolerance in (0.5, 0.99):
                 with pytest.raises(ValidationError, match="tolerance must be below 1/2, got"):
                     verify_schedule(schedule, kind, tolerance=tolerance)
         with pytest.raises(ValidationError, match="tolerance must be below 1/2"):
@@ -190,6 +201,29 @@ class TestVerifySwap:
                 verify_schedule(PulseSchedule.constant(plan.params, plan.tau), plan.kind, seed=seed)
         assert verify_swap(plan, seed=2**128 - 1).passed
         assert verify_swap(plan, seed=np.int64(7)) == verify_swap(plan, seed=7)
+
+    def test_state_count_validated(self):
+        plan = SwapPlan(2, 1, 1.0)
+        schedule = PulseSchedule.constant(plan.params, plan.tau)
+        for n_states in (True, 2.5, "3", None):
+            with pytest.raises(ValidationError, match="n_states must be an integer"):
+                verify_swap(plan, n_states=n_states)
+            with pytest.raises(ValidationError, match="n_states must be an integer"):
+                verify_schedule(schedule, plan.kind, n_states=n_states)
+        for report in (
+            verify_swap(plan, n_states=np.int64(5)),
+            verify_schedule(schedule, plan.kind, n_states=np.int64(5)),
+        ):
+            assert report == verify_swap(plan, n_states=5)
+            assert type(report.states_checked) is int
+
+    def test_negative_state_count_rejected(self):
+        plan = SwapPlan(2, 1, 1.0)
+        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
+            verify_swap(plan, n_states=-1)
+        with pytest.raises(ValidationError, match="n_states must be nonnegative"):
+            verify_schedule(plan.schedule(), plan.kind, n_states=-1)
+        assert verify_swap(plan, n_states=0).states_checked == 0
 
     def test_kind_may_be_its_string_value(self):
         for plan in (SwapPlan(2, 1, 1.0), SwapPlan(3, 1, 1.0)):
