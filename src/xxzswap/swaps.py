@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -82,22 +83,24 @@ class SwapPlan:
         kind = classify_outcome(self.m, self.n)
         m, n = int(self.m), int(self.n)
         tau = check_real(self.tau, "tau", "positive")
-        params = XxzParams(
-            J=(m - n) * math.pi / tau,
-            Delta=(m + n) / (m - n) + 0.0,  # normalize -0.0 for m + n = 0
-            Gamma=n * math.pi / tau,
-        )
+        params = XxzParams(*_conditions(m, n, tau))
         derived = {"m": m, "n": n, "tau": tau, "params": params, "kind": kind}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     @property
     def delta_at_least_one(self) -> bool:
-        """Whether |Delta| >= 1 (every solution with n >= 0 satisfies this)."""
+        """Whether |Delta| >= 1, which holds exactly when m * n >= 0."""
         return abs(self.params.Delta) >= 1.0
 
     def schedule(self) -> PulseSchedule:
         return PulseSchedule.constant(self.params, self.tau)
+
+
+def _conditions(m, n, tau):
+    """(J, Delta, Gamma) of (m, n, tau) for ints or object arrays of ints; Delta
+    is the exactly rounded int quotient, with + 0.0 turning -0.0 into 0.0."""
+    return (m - n) * math.pi / tau, (m + n) / (m - n) + 0.0, n * math.pi / tau
 
 
 @dataclass(frozen=True)
@@ -249,33 +252,44 @@ class ScanRow:
 def delta_feasibility_scan(
     m_values: Iterable[int], n_values: Iterable[int], tau: float = 1.0
 ) -> list[ScanRow]:
-    """Solve every pair (m, n) with m != n and tabulate the anisotropy each
-    reaches.
+    """Tabulate every pair (m, n) with m != n as its :class:`SwapPlan` and
+    :func:`verify_swap` would, bit for bit, without building a plan.
 
-    Rows carry the operator-level trace overlap and global phase of the plan's
-    propagator against its target; :func:`verify_swap` is the per-state
-    check. Each m-row of plans is compared with its targets in one stacked
-    pass, so the scan holds one row's propagators at a time. Rows are sorted
-    by (delta, m, n), so evaluating pairs in parallel and merging would
-    produce the same table. The scan records outcomes for every pair,
-    including anisotropies below 1 reached through negative n.
+    The scan checks that the ranges are nonempty, then every pair with
+    :func:`classify_outcome` in m-major order, then ``tau``, then that each
+    pair's J, Delta, Gamma and phases are finite, the first failure in m-major
+    order raising as the pair's plan would. It calls the one owner of the
+    swap conditions once on the whole box and compares one m-row's length of
+    pairs with their targets at a time. Rows are sorted by (delta, m, n) and
+    include anisotropies below 1 reached through negative n.
     """
     m_list, n_list = check_iterable(m_values, "m_values"), check_iterable(n_values, "n_values")
     if not m_list or not n_list:
         raise ValidationError("scan ranges must be nonempty")
+    ms = [m for m in m_list for n in n_list if m != n]
+    ns = [n for m in m_list for n in n_list if m != n]
+    kinds = list(map(classify_outcome, ms, ns))
+    tau = check_real(tau, "tau", "positive")
+    m, n = (np.array([int(v) for v in vs], dtype=object) for vs in (ms, ns))
+    with np.errstate(all="ignore"):  # an overflow raises below, as a non-finite value
+        params = np.array(_conditions(m, n, tau), dtype=float)
     rows = []
-    for m in m_list:
-        pairs = []
-        for n in n_list:
-            if m == n:
-                continue
-            plan = SwapPlan(m, n, tau)
-            pairs.append((n, plan, accumulate_phases(plan.schedule(), plan.tau)))
-        phases = np.reshape([(p.phi_x, p.phi_z, p.phi_h) for _, _, p in pairs], (-1, 3)).T
-        compared = _compare_to_target(_propagators(*phases), [plan.kind for _, plan, _ in pairs])
-        for (n, plan, _), (overlap, phase, _) in zip(pairs, compared):
-            rows.append(ScanRow(m, n, plan.params.Delta, plan.kind, overlap, phase))
-    rows.sort(key=lambda r: (r.delta, r.m, r.n))
+    for start in range(0, len(kinds), len(n_list)):
+        row = slice(start, start + len(n_list))
+        J, Delta, Gamma = params[:, row]
+        with np.errstate(all="ignore"):  # J * Delta may overflow, as checked below
+            phases = 0.0 + np.array([J, J * Delta, Gamma]) * tau  # accumulate_phases's order
+        # an infinite J or Gamma makes its phase infinite; the first such pair raises
+        for pair in np.flatnonzero(~np.isfinite(phases).all(axis=0))[:1]:
+            XxzParams(J[pair], Delta[pair], Gamma[pair])
+            PhaseTriple(*phases[:, pair])
+        compared = _compare_to_target(_propagators(*phases), kinds[row])
+        for m, n, delta, kind, (overlap, phase, _) in zip(
+            ms[row], ns[row], Delta.tolist(), kinds[row], compared
+        ):
+            rows.append(ScanRow(m, n, delta, kind, overlap, phase))
+    for name in ("n", "m", "delta"):  # stable passes sort by (delta, m, n) with no key tuples
+        rows.sort(key=attrgetter(name))
     return rows
 
 

@@ -213,6 +213,21 @@ class TestDeltaScan:
                      "--n-max", "4", "--seed", "7"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 9 - 9
 
+    @pytest.mark.parametrize(
+        "m, n, tau",
+        [("0", "0", "-1"), ("0", "0", "nan"), ("5", "3", "1e-308")],
+        ids=["negative-without-pairs", "nan-without-pairs", "overflowing-J"],
+    )
+    def test_bad_tau_exit_usage(self, m, n, tau, capsys):
+        # the box (0, 0) has no pair with m != n, yet tau is checked
+        limits = ["--m-min", m, "--m-max", m, "--n-min", n, "--n-max", n]
+        assert main(["delta-scan", *limits, "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one error line and nothing else: no warning leaks from numpy
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_bad_seed_still_exit_usage(self, monkeypatch, capsys):
         assert main(["delta-scan", "--seed", "-1"]) == 2
         monkeypatch.setenv("XXZSWAP_SEED", "not-a-number")

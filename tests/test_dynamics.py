@@ -256,14 +256,6 @@ class TestClosedFormDeterminant:
         assert worst < 1e-10
 
 
-class TestParamValidation:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            XxzParams(math.inf, 1, 0)
-        with pytest.raises(ValidationError):
-            PhaseTriple(0, math.nan, 0)
-
-
 # The scalar closed forms as they were written case by case, kept as the
 # references the stacked forms are checked against.
 

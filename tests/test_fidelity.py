@@ -183,10 +183,6 @@ class TestAnalyticAverage:
                 values.append(average_fidelity_analytic(FluctuationSpec(*lams)))
             assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_negative_deviation_rejected(self):
-        with pytest.raises(ValidationError):
-            FluctuationSpec(-0.1, 0, 0)
-
 
 class TestMonteCarloAverage:
     def test_degenerate_gaussians_exact(self):

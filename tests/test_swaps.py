@@ -72,6 +72,12 @@ class TestSolveSchedule:
                 SwapPlan(m, n, 1.0)
         assert SwapPlan(2**53, 2**53 - 1, 1.0).kind is SwapKind.SWAP
 
+    def test_delta_at_least_one_exactly_when_m_and_n_share_a_sign(self):
+        for m in range(-6, 7):
+            for n in range(-6, 7):
+                if m != n:
+                    assert SwapPlan(m, n, 1.0).delta_at_least_one == (m * n >= 0), (m, n)
+
     def test_conditions_hold_by_construction(self):
         for m in range(-5, 6):
             for n in range(-5, 6):
@@ -414,24 +420,33 @@ class TestFeasibilityScan:
         ([7], [7]),  # the only pair has m = n, so the table is empty
         # numpy-integer ranges: rows keep the caller's m and n
         (np.arange(-3, 4), np.arange(-3, 4, dtype=np.int32)),
+        # at (2**53, 3) Delta is the exactly rounded int quotient 0x1.0000000000003p+0;
+        # casting m + n to a float first rounds it to 0x1.0000000000004p+0
+        ([2**53], [3]),
     ]
 
     @pytest.mark.parametrize("tau", [1.0, 0.83, 1.7])
     def test_rows_match_verify_swap_bitwise_without_drawing(self, tau, monkeypatch):
-        def no_stream(seed, index):
-            raise AssertionError("the scan opened a random stream")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the scan called {name}")
+
+            return call
 
         for m_values, n_values in self.BOXES:
             with monkeypatch.context() as patch:
-                patch.setattr(xxzswap.swaps, "stream", no_stream)
+                # the scan draws no states and builds no plan or phases of its own
+                for name in ("stream", "SwapPlan", "accumulate_phases"):
+                    patch.setattr(xxzswap.swaps, name, forbidden(name))
                 rows = delta_feasibility_scan(m_values, n_values, tau)
             pairs = [(m, n) for m in m_values for n in n_values if m != n]
             assert sorted((row.m, row.n) for row in rows) == sorted(pairs)
             for row in rows:
                 assert (type(row.m), type(row.n)) == (type(m_values[0]), type(n_values[0]))
-                report = verify_swap(SwapPlan(row.m, row.n, tau))
-                assert (row.trace_overlap.hex(), row.global_phase.hex()) == (
-                    report.trace_overlap.hex(), report.global_phase.hex()
+                plan = SwapPlan(row.m, row.n, tau)
+                report = verify_swap(plan)
+                assert (row.delta.hex(), row.trace_overlap.hex(), row.global_phase.hex()) == (
+                    plan.params.Delta.hex(), report.trace_overlap.hex(), report.global_phase.hex()
                 ), (row.m, row.n)
 
     # (5k, 3k) at tau = 1e-300 has finite J and Gamma, but J Delta overflows
@@ -443,12 +458,17 @@ class TestFeasibilityScan:
             ([0, 2**54], [1, 2.5], 1.0, "n must be an integer, got 2.5"),
             ([0, 1], [1, 0], -1.0, "tau must be finite and positive, got -1.0"),
             ([0, 1], [2.5, 0], -1.0, "n must be an integer, got 2.5"),
-            ([5 * K], [3 * K, 2.5], 1e-300, "phi_z must be finite, got inf"),
+            ([5 * K], [3 * K, 2.5], 1e-300, "n must be an integer, got 2.5"),
+            ([7], [7], -1.0, "tau must be finite and positive, got -1.0"),
+            ([5 * K], [3 * K], 1e-300, "phi_z must be finite, got inf"),
         ],
-        ids=["pair-before-later-m", "tau", "pair-before-tau", "phases-before-later-pair"],
+        ids=[
+            "pair-before-later-m", "tau", "pair-before-tau", "later-pair-before-phases",
+            "tau-without-pairs", "phases",
+        ],
     )
     def test_first_failing_pair_in_m_major_order_raises(self, m_values, n_values, tau, message):
-        # each pair's plan and phases are built before the next pair's
+        # every pair is checked, then tau, then the conditions and phases
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             delta_feasibility_scan(m_values, n_values, tau)
 
