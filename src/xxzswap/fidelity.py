@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -356,8 +355,8 @@ def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
     samplers ``make_values()`` builds yield.
 
     The chunks run on one worker per CPU the process may use, at most one
-    per chunk: worker ``w`` of ``W`` builds its own sampler and evaluates
-    chunks ``w, w + W, w + 2W, ...``. The calling thread is worker 0 and the
+    per chunk: each worker builds its own sampler and takes the next chunk
+    that no worker has taken yet. The calling thread is a worker and the
     others are pool threads, which overlap because numpy releases the GIL
     inside the draws, the ufunc loops and the sums. Each thread runs in a
     copy of the caller's context, so ``np.errstate`` applies in it. Once a
@@ -369,31 +368,26 @@ def _estimate(make_values, samples: int, seed: int) -> list[McEstimate]:
     count = (samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     workers = min(_cpus(), count)
     chunks = [None] * count
-    stop = threading.Event()
+    # shared by the workers: next() on a range iterator advances it
+    # atomically under the GIL, so no chunk is taken twice or skipped
+    indices = iter(range(count))
 
-    def work(first: int) -> None:
+    def work() -> None:
         try:
             values = make_values()
-            for index in range(first, count, workers):
-                if stop.is_set():
-                    return
+            for index in indices:
                 chunks[index] = _chunk_stats(values, samples, seed, index)
-        except BaseException:
-            stop.set()
-            raise
+        finally:
+            # after a failure, the others stop before their next chunk
+            for _ in indices:
+                pass
 
     # the pool starts a thread per submitted worker, so one worker starts none
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, work, first)
-            for first in range(1, workers)
-        ]
-        try:
-            work(0)
-            for future in futures:
-                future.result()
-        finally:
-            stop.set()  # an interrupt while waiting stops the pool threads too
+        futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(1, workers)]
+        work()
+        for future in futures:
+            future.result()
     estimates = []
     for per_chunk in zip(*chunks):
         total = total_sq = 0.0

@@ -1,13 +1,17 @@
 """Tests for the command-line interface: exit codes, output formats,
 round-trips, and determinism."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import inspect
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxzswap import (
     DotSpec,
@@ -547,6 +553,46 @@ class TestPseudospinMap:
         assert "failure: J_eff = inf is not finite\n" in captured.out
         assert "flip the sign" not in captured.out
 
+    @pytest.mark.parametrize(
+        "section, key, value, fields, failures",
+        [
+            # t_+ t_- overflows, so J_eff = inf and Delta~ = inf / inf
+            (
+                "coupling", "t00", 1.7e308, {"j_eff": "inf", "delta_tilde": "nan"},
+                [
+                    "J_eff = inf is not finite",
+                    "anisotropy mismatch: Delta~ = nan vs required 1 (residual nan)",
+                ],
+            ),
+            # g_j b_j / g_i b_i overflows f, so f^2 = inf
+            (
+                "dot_i", "g_times_b", 1e-300,
+                {"f": "8.41793787127e+295", "delta_tilde": "-inf", "omega_tilde": "-inf"},
+                [
+                    "anisotropy mismatch: Delta~ = -inf vs required 1 (residual inf)",
+                    "Zeeman phase mismatch: omega~ tau = -inf vs required 0 (residual inf)",
+                ],
+            ),
+        ],
+        ids=["overflowing-tunneling-product", "overflowing-inhomogeneity-ratio"],
+    )
+    def test_non_finite_effective_parameters_are_infeasible_data(
+        self, tmp_path, capsys, section, key, value, fields, failures
+    ):
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        config[section][key] = value
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed = parse_fields(captured.out)
+        assert printed["feasible"] == "false"
+        assert {name: printed[name] for name in fields} == fields
+        lines = captured.out.splitlines()
+        assert [line for line in lines if line.startswith("failure: ")] == [
+            f"failure: {failure}" for failure in failures
+        ]
+
     def test_malformed_json_exit_usage(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         too_long = json.dumps(EXAMPLE_CONFIG).replace("0.05", "1" * 5000, 1)
@@ -785,3 +831,71 @@ def test_seeded_argv_fuzz_keeps_exit_contract(tmp_path, capsys):
     capsys.readouterr()
     # the fuzzer reaches success and usage errors alike
     assert {0, 2} <= seen
+
+
+# Device-file values for the pseudospin-map contract: ordinary numbers, the
+# ends of the float range, signed zeros, JSON's non-finite tokens, integers
+# near 2**53 and values of the wrong type, as JSON tokens
+DEVICE_TOKENS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from([
+        "1e308", "-1e308", "1.7e308", "1e-300", "5e-324", "-5e-324", "0.0", "-0.0",
+        "NaN", "Infinity", "-Infinity", str(2**53), str(2**53 + 1), str(-(2**53) - 1),
+        '"0.05"', "true", "null", "[]",
+    ]),
+)
+DEVICE_KEYS = [(section, key) for section, fields in EXAMPLE_CONFIG.items() for key in fields]
+
+
+def readme_non_finite_fields():
+    """The pseudospin-map fields that the README's exit-code paragraph names
+    as printing non-finite values on exit 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = text.split("\nExit codes:")[1].split("\n\n")[0]
+    printed = {f.name for f in dataclasses.fields(xxzswap.dots.EffectiveParams)}
+    printed |= set(cli.FEASIBILITY_FIELDS) | {"tau"}
+    return printed & set(re.findall(r"`(\w+)`", paragraph))
+
+
+NON_FINITE_ON_EXIT_0 = readme_non_finite_fields()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(
+    st.dictionaries(st.sampled_from(DEVICE_KEYS), DEVICE_TOKENS, max_size=4),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+)
+def test_pseudospin_map_keeps_its_exit_contract(tmp_path_factory, tokens, m, n):
+    sections = []
+    for section, fields in EXAMPLE_CONFIG.items():
+        members = (
+            f'"{key}": {tokens.get((section, key), repr(value))}' for key, value in fields.items()
+        )
+        sections.append(f'"{section}": {{{", ".join(members)}}}')
+    path = tmp_path_factory.getbasetemp() / "property-device.json"
+    path.write_text("{" + ", ".join(sections) + "}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pseudospin-map", "--config", str(path), "--m", str(m), "--n", str(n)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 4)
+    if code:
+        # a rejected device prints nothing, and one error line
+        lines = err.splitlines()
+        assert out == ""
+        assert lines[-1].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        return
+    assert err == ""
+    non_finite = []
+    for line in out.splitlines():
+        if line.startswith("failure: "):
+            continue
+        name, value = line.split(" = ")
+        if value not in ("true", "false") and not math.isfinite(float(value)):
+            non_finite.append(name)
+    assert set(non_finite) <= NON_FINITE_ON_EXIT_0
+    if non_finite:
+        assert parse_fields(out)["feasible"] == "false"

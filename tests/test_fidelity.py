@@ -252,10 +252,6 @@ class TestMonteCarloAverage:
         b = average_fidelity_mc(spec, samples=50_000, seed=2)
         assert a.mean != b.mean
 
-    def test_sample_count_validation(self):
-        with pytest.raises(ValidationError):
-            average_fidelity_mc(FluctuationSpec(1, 1, 1), samples=0)
-
 
 # each Monte Carlo entry point, as a call with (samples, seed) that returns
 # something carrying both
@@ -749,6 +745,36 @@ class TestWorkers:
             state_ensemble_fidelity(SWAP_POINT, "haar_product", samples=6 * CHUNK_SAMPLES)
         # the other worker finishes the chunk it had opened, and opens no more
         assert set(opened) <= {0, 1}
+
+    def test_a_stalled_worker_leaves_its_chunks_to_the_others(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        spec = FluctuationSpec(0.8, 1.2, 0.4)
+        expected = average_fidelity_mc(spec, samples=4 * CHUNK_SAMPLES)
+        chunk_stats = xxzswap.fidelity._chunk_stats
+        caller = threading.get_ident()
+        ran = []
+        # both threads hold a chunk before either goes on, so the pool thread
+        # cannot run every chunk while the caller is still starting
+        together = threading.Barrier(2, timeout=10.0)
+        released = threading.Event()
+
+        def stalling(values, samples, seed, index):
+            ident = threading.get_ident()
+            if ident not in ran:
+                together.wait()
+                if ident != caller:
+                    # the pool thread stalls in its first chunk until the
+                    # caller has run the other three
+                    released.wait(timeout=10.0)
+            stats = chunk_stats(values, samples, seed, index)
+            ran.append(ident)
+            if ran.count(caller) == 3:
+                released.set()
+            return stats
+
+        monkeypatch.setattr(xxzswap.fidelity, "_chunk_stats", stalling)
+        assert average_fidelity_mc(spec, samples=4 * CHUNK_SAMPLES) == expected
+        assert ran.count(caller) == 3
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         use_cpus(monkeypatch, 2)
