@@ -28,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dots import FEASIBILITY_TOLERANCE, CouplingSpec, DotSpec, effective_params, map_to_swap
-from .dynamics import _exponentials, _propagators, _reduced_determinants
+from .dynamics import _exponentials, _propagators, _reduced_determinants, _segment_phases
 from .errors import SingularityError, ValidationError, check_integer, check_real
 from .fidelity import DEFAULT_SAMPLES, FidelityGridRow, fidelity_grid
 from .seeding import DEFAULT_SEED, check_seed, stream
@@ -203,7 +203,7 @@ def cmd_pseudospin_map(args) -> int:
 def _propagator_deviations(rng: np.random.Generator, count: int) -> np.ndarray:
     # per case J, Delta, Gamma in [-3, 3) and t in [1e-3, 5)
     J, Delta, Gamma, t = rng.uniform((-3.0, -3.0, -3.0, 1e-3), (3.0, 3.0, 3.0, 5.0), (count, 4)).T
-    closed = _propagators(J * t, J * Delta * t, Gamma * t)
+    closed = _propagators(*_segment_phases(J, Delta, Gamma, t))
     return np.abs(closed - _exponentials(J, Delta, Gamma, t))
 
 

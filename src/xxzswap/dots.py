@@ -199,10 +199,10 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
 
     The formulas use a single transition frequency; for inhomogeneous dots
     the average (omega_i + omega_j) / 2 is used, with a warning once the two
-    differ by more than 1%. Raises on the resonance |U - V| = omega, on a
-    vanishing tunneling product, and where (U - V)^2 or
-    t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0: the anisotropy is
-    undefined there.
+    differ by more than 1%. Raises on the resonance |U - V| = omega, decided
+    without overflow and so in any energy unit, on a vanishing tunneling
+    product, and where (U - V)^2 or t_+ t_- (1 - omega^2 / (U - V)^2)
+    underflows to 0: the anisotropy is undefined there.
     """
     check_type(dot_i, DotSpec, "dot_i")
     check_type(dot_j, DotSpec, "dot_j")
@@ -210,6 +210,8 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     levels_i = perturbed_levels(dot_i)
     levels_j = perturbed_levels(dot_j)
     omega = 0.5 * (levels_i.omega + levels_j.omega)
+    if math.isinf(omega):  # the sum of two finite frequencies overflows; halve first
+        omega = 0.5 * levels_i.omega + 0.5 * levels_j.omega
     if omega > 0.0 and abs(levels_i.omega - levels_j.omega) / omega > 0.01:
         warnings.warn(
             "dot transition frequencies differ by more than 1%; using their average",
@@ -235,7 +237,11 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     product = t_plus * t_minus
     if product == 0.0:
         raise SingularityError("tunneling product t_+ t_- vanishes; anisotropy undefined")
-    if abs(gap_squared - omega * omega) <= 1e-12 * max(gap_squared, omega * omega):
+    # where a square overflows, compare those of 2**-600 gap and 2**-600 omega,
+    # which decide as unbounded floats would: no energy unit is special
+    scale = 1.0 if max(gap_squared, omega * omega) < math.inf else 2.0**-600
+    g, w = scale * gap, scale * omega
+    if abs(g * g - w * w) <= 1e-12 * max(g * g, w * w):
         raise SingularityError(
             f"resonance |U - V| = omega ({abs(gap)!r} vs {omega!r}); "
             "the effective parameters diverge"

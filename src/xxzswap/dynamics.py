@@ -172,14 +172,19 @@ def accumulate_phases(schedule: PulseSchedule, t: float) -> PhaseTriple:
     phi_x = phi_z = phi_h = 0.0
     for seg in schedule.segments:
         dt = seg.duration if full else min(seg.duration, remaining)
-        phi_x += seg.params.J * dt
-        phi_z += seg.params.J * seg.params.Delta * dt
-        phi_h += seg.params.Gamma * dt
+        x, z, h = _segment_phases(seg.params.J, seg.params.Delta, seg.params.Gamma, dt)
+        phi_x, phi_z, phi_h = phi_x + x, phi_z + z, phi_h + h
         if not full:
             remaining -= dt
             if remaining <= 0.0:
                 break
     return PhaseTriple(phi_x, phi_z, phi_h)
+
+
+def _segment_phases(J, Delta, Gamma, t):
+    """The phases (J t, J Delta t, Gamma t) of a constant stretch of duration
+    ``t``, on scalars or broadcasting stacks; the one home of these products."""
+    return J * t, J * Delta * t, Gamma * t
 
 
 def propagate(state: TwoQubitPureState, phases: PhaseTriple) -> TwoQubitPureState:

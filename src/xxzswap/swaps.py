@@ -28,6 +28,7 @@ from .dynamics import (
     PulseSchedule,
     XxzParams,
     _propagators,
+    _segment_phases,
     accumulate_phases,
     propagator_matrix,
 )
@@ -278,7 +279,7 @@ def delta_feasibility_scan(
         row = slice(start, start + len(n_list))
         J, Delta, Gamma = params[:, row]
         with np.errstate(all="ignore"):  # J * Delta may overflow, as checked below
-            phases = 0.0 + np.array([J, J * Delta, Gamma]) * tau  # accumulate_phases's order
+            phases = 0.0 + np.array(_segment_phases(J, Delta, Gamma, tau))
         # an infinite J or Gamma makes its phase infinite; the first such pair raises
         for pair in np.flatnonzero(~np.isfinite(phases).all(axis=0))[:1]:
             XxzParams(J[pair], Delta[pair], Gamma[pair])

@@ -459,6 +459,38 @@ class TestPseudospinMap:
         assert code == 4
         assert "resonance" in err
 
+    @staticmethod
+    def field_free_pair(hbar_omega0, zeeman_z, U, V):
+        """Two equal dots with no gradient, so that omega = 2 zeeman_z up to rounding."""
+        dot = {"hbar_omega0": hbar_omega0, "zeeman_z": zeeman_z, "gradient_coupling": 0.0,
+               "g_times_b": 0.0}
+        return {"dot_i": dot, "dot_j": dot, "coupling": dict(EXAMPLE_CONFIG["coupling"], U=U, V=V)}
+
+    @pytest.mark.parametrize(
+        "hbar_omega0, zeeman_z, omega",
+        [(4e200, 1e200, "2e+200"), (1.7e308, 0.8e308, "1.6e+308")],
+        ids=["overflowing-omega-squared", "overflowing-frequency-sum"],
+    )
+    def test_huge_frequency_far_from_the_gap_is_no_resonance(
+        self, tmp_path, capsys, hbar_omega0, zeeman_z, omega
+    ):
+        # U - V = 0.5 while omega^2, or omega_i + omega_j, overflows
+        config = self.field_free_pair(hbar_omega0, zeeman_z, U=1.0, V=0.5)
+        assert main(["pseudospin-map", "--config", write_config(tmp_path, config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fields = parse_fields(captured.out)
+        assert (fields["omega_i"], fields["omega"], fields["omega_tilde"]) == (omega,) * 3
+
+    def test_resonance_is_decided_in_any_energy_unit(self, tmp_path, capsys):
+        # U - V = omega = 1, and its twin in a unit of 1e200, whose squares overflow
+        for unit in (1.0, 1e200):
+            config = self.field_free_pair(4.0 * unit, 0.5 * unit, U=unit, V=0.0)
+            code = main(["pseudospin-map", "--config", write_config(tmp_path, config)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (4, ""), unit
+            assert captured.err.startswith(f"error: resonance |U - V| = omega ({unit!r} vs ")
+
     def test_zero_gradient_in_dot_i_exit_singular(self, tmp_path, capsys):
         # f_- stays nonzero, so the ratio g_j b_j / g_i b_i is needed and undefined
         config = dict(EXAMPLE_CONFIG)
@@ -708,6 +740,14 @@ class TestVerifyDynamics:
         assert main(["verify-dynamics", "--cases", cases]) == 2
         assert "passed" not in capsys.readouterr().out
 
+    def test_propagator_cases_use_the_dynamics_array_form(self, monkeypatch):
+        def forbidden(*args):
+            raise LookupError("phases formed by _segment_phases")
+
+        monkeypatch.setattr(cli, "_segment_phases", forbidden)
+        with pytest.raises(LookupError, match="_segment_phases"):
+            main(["verify-dynamics", "--cases", "3"])
+
     def test_injected_error_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "ORACLE_THRESHOLD", 0.0)
         code = main(["verify-dynamics", "--cases", "20"])
@@ -899,3 +939,82 @@ def test_pseudospin_map_keeps_its_exit_contract(tmp_path_factory, tokens, m, n):
     assert set(non_finite) <= NON_FINITE_ON_EXIT_0
     if non_finite:
         assert parse_fields(out)["feasible"] == "false"
+
+
+# Option values for the exit contract of the other four subcommands: ordinary
+# values, integers near +-2**53, the ends of the float range, signed zeros
+# and the non-finite tokens. Counts stay small where they are valid: a large
+# --cases, --samples or --points would only run long.
+def mostly(plain, edges):
+    """One of the ``edges`` about once in four draws, else ``plain``, so that
+    runs also get past the checks. (``st.one_of`` would not weigh a branch that
+    it is given three times.)"""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(edges) if k == 0 else plain)
+
+
+NEAR_2_53 = (2**53 - 1, 2**53, 2**53 + 1, -(2**53), -(2**53) - 1)
+ARG_INTEGERS = mostly(st.integers(-4, 4), NEAR_2_53)
+ARG_NUMBERS = mostly(st.floats(1e-3, 0.4).map(repr), [  # plain: a valid tolerance too
+    "5e-324", "-5e-324", "1e308", "-1e308", "0.0", "-0.0", "inf", "-inf", "nan", "-0.7",
+])
+ARG_SEEDS = mostly(st.integers(0, 99), [-1, 2**53, 2**128 - 1, 2**128])
+
+
+@st.composite
+def subcommand_argvs(draw, command):
+    """An argv of ``command`` whose values all parse, each given as --name=value,
+    so that a negative number is not read as an option."""
+
+    def some(strategy):  # the value of an option that may be left out
+        return draw(st.none() | strategy)
+
+    if command == "swap-solve":
+        values = {"m": draw(ARG_INTEGERS), "n": draw(ARG_INTEGERS), "tau": draw(ARG_NUMBERS),
+                  "tolerance": some(ARG_NUMBERS)}
+    elif command == "delta-scan":
+        values = {}
+        for axis in "mn":  # at most three values from any start; a negative span is empty
+            start = draw(ARG_INTEGERS)
+            values[f"{axis}-min"], values[f"{axis}-max"] = start, start + draw(mostly(
+                st.integers(0, 2), (-1, -2)))
+        values.update(tau=some(ARG_NUMBERS), format=some(st.sampled_from(["csv", "json"])))
+    elif command == "fidelity-sweep":
+        # 2**53 points are refused at allocation; 2**53 samples would run
+        values = {"max-xz": some(ARG_NUMBERS), "max-h": some(ARG_NUMBERS),
+                  "points": draw(mostly(st.integers(1, 3), (0, -1, *NEAR_2_53))),
+                  "samples": draw(mostly(st.integers(1, 100), (0, -1, *NEAR_2_53[3:])))}
+    else:
+        values = {"cases": draw(mostly(st.integers(1, 5), (0, -1, *NEAR_2_53[3:])))}
+    values["seed"] = some(ARG_SEEDS)
+    return [command] + [f"--{name}={value}" for name, value in values.items() if value is not None]
+
+
+@pytest.mark.parametrize("command", ["swap-solve", "delta-scan", "fidelity-sweep", "verify-dynamics"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_subcommand_keeps_its_exit_contract(command, data):
+    argv = data.draw(subcommand_argvs(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code in (2, 4):
+        # a rejected argv prints nothing, and one error line
+        lines = err.splitlines()
+        assert out == ""
+        assert lines[-1].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        return
+    assert err == ""
+    if code == 3 or command in ("swap-solve", "verify-dynamics"):
+        # exit 3 is a failed verification, and exit 0 a passed one
+        assert command in ("swap-solve", "verify-dynamics")
+        assert parse_fields(out)["passed"] == ("false" if code else "true")
+    if code == 0:
+        for token in re.split(r'[\s,=:\[\]{}"]+', out):
+            try:
+                number = float(token)
+            except ValueError:  # a name, a kind, true or false
+                continue
+            assert math.isfinite(number), token

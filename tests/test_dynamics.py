@@ -3,6 +3,7 @@ and its dense matrix-exponential oracle."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from xxzswap.dynamics import (
     _hamiltonians,
     _propagators,
     _reduced_determinants,
+    _segment_phases,
 )
 from xxzswap.swaps import _random_qubits
 
@@ -121,6 +123,72 @@ class TestAccumulatePhases:
             PulseSchedule(
                 (Segment(XxzParams(1, 1.0, 0), 1.0), Segment(XxzParams(1, 2.0, 0), 1.0))
             )
+
+
+def stretches(schedule, t):
+    """(J, Delta, Gamma, duration) of each constant stretch in the first ``t``
+    time units, cut from a running remainder as ``accumulate_phases`` cuts them."""
+    total = schedule.total_duration
+    remaining = min(max(t, 0.0), total)
+    full = remaining == total
+    rows = []
+    for seg in schedule.segments:
+        dt = seg.duration if full else min(seg.duration, remaining)
+        rows.append((seg.params.J, seg.params.Delta, seg.params.Gamma, dt))
+        if not full:
+            remaining -= dt
+            if remaining <= 0.0:
+                break
+    return np.array(rows).T
+
+
+class TestSegmentPhases:
+    """``_segment_phases`` is the one home of a constant stretch's phases."""
+
+    def test_accumulate_phases_adds_the_array_form_bitwise(self):
+        rng = random.Random(31)
+        signed = (0.0, -0.0)
+        for _ in range(400):
+            delta = rng.choice((rng.uniform(-5, 5), *signed))
+            segments = tuple(
+                Segment(
+                    XxzParams(rng.choice((rng.uniform(-9, 9), *signed)), delta,
+                              rng.choice((rng.uniform(-9, 9), *signed))),
+                    rng.choice((rng.uniform(1e-3, 5), 5e-324)),
+                )
+                for _ in range(rng.choice((1, 1, 2, 5)))
+            )
+            schedule = PulseSchedule(segments)
+            total = schedule.total_duration
+            for t in (total, rng.uniform(0, total), 0.0, -1e-13):
+                J, Delta, Gamma, dt = stretches(schedule, t)
+                stacked = _segment_phases(J, Delta, Gamma, dt)
+                summed = [0.0, 0.0, 0.0]
+                for k in range(len(dt)):
+                    j, d, g, step = (float(v[k]) for v in (J, Delta, Gamma, dt))
+                    scalar = _segment_phases(j, d, g, step)
+                    assert [v.hex() for v in scalar] == [float(p[k]).hex() for p in stacked]
+                    # in this order of operations
+                    assert [v.hex() for v in scalar] == [(j * step).hex(), ((j * d) * step).hex(),
+                                                         (g * step).hex()]
+                    summed = [a + b for a, b in zip(summed, scalar)]
+                phases = accumulate_phases(schedule, t)
+                assert [v.hex() for v in summed] == [
+                    phases.phi_x.hex(), phases.phi_z.hex(), phases.phi_h.hex()
+                ]
+
+    def test_broadcasts_over_stacks(self):
+        J = np.array([[1.0], [-2.0]])
+        phi_x, phi_z, phi_h = _segment_phases(J, 3.0, np.array([0.5, 4.0]), 0.25)
+        assert phi_x.shape == phi_z.shape == (2, 1) and phi_h.shape == (2,)
+        assert phi_z[1, 0] == -1.5 and phi_h[1] == 1.0
+
+    def test_overflowing_product_raises_through_phase_triple(self):
+        # J and Delta are finite, but J * Delta is not
+        assert _segment_phases(1e200, 1e200, 0.0, 1.0)[1] == math.inf
+        schedule = PulseSchedule.constant(XxzParams(1e200, 1e200, 0.0), 1.0)
+        with pytest.raises(ValidationError, match="phi_z must be finite, got inf"):
+            accumulate_phases(schedule, 1.0)
 
 
 class TestPropagate:

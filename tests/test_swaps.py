@@ -449,6 +449,14 @@ class TestFeasibilityScan:
                     plan.params.Delta.hex(), report.trace_overlap.hex(), report.global_phase.hex()
                 ), (row.m, row.n)
 
+    def test_phases_come_from_the_dynamics_array_form(self, monkeypatch):
+        def forbidden(*args):
+            raise LookupError("phases formed by _segment_phases")
+
+        monkeypatch.setattr(xxzswap.swaps, "_segment_phases", forbidden)
+        with pytest.raises(LookupError, match="_segment_phases"):
+            delta_feasibility_scan(range(-2, 3), range(-2, 3))
+
     # (5k, 3k) at tau = 1e-300 has finite J and Gamma, but J Delta overflows
     K = int(5e307 * 1e-300 / PI)
 
