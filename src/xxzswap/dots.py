@@ -199,8 +199,12 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
 
     The formulas use a single transition frequency; for inhomogeneous dots
     the average (omega_i + omega_j) / 2 is used, with a warning once the two
-    differ by more than 1%. Raises on the resonance |U - V| = omega, decided
-    without overflow and so in any energy unit, on a vanishing tunneling
+    differ by more than 1%. Where (U - V)^2 or omega^2 overflows, Delta~ and
+    omega~ take omega^2 / (U - V)^2 as the square of omega / (U - V), and
+    f^2 / ((U - V)^2 - omega^2) from the ratios of f, U - V and omega to the
+    larger of |U - V| and omega, so that they, like the resonance, do not
+    depend on the energy unit. Raises on the resonance
+    |U - V| = omega, decided without overflow, on a vanishing tunneling
     product, and where (U - V)^2 or t_+ t_- (1 - omega^2 / (U - V)^2)
     underflows to 0: the anisotropy is undefined there.
     """
@@ -250,7 +254,18 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
         raise SingularityError(
             f"(U - V)^2 underflows to 0 at U - V = {gap!r}; anisotropy undefined"
         )
-    detuned_product = product * (1.0 - omega * omega / gap_squared)
+    if scale == 1.0:
+        omega_ratio_squared = omega * omega / gap_squared
+        zeeman_shift = 2.0 * f * f / (gap_squared - omega * omega)
+    else:  # where a square would read inf, divide before squaring
+        # omega / (U - V) is inf where U - V is tiny, which gives the limit
+        omega_per_gap = omega / gap
+        omega_ratio_squared = omega_per_gap * omega_per_gap
+        # ratios to the larger of |U - V| and omega, so that none overflows
+        larger = max(abs(gap), omega)
+        g, w, q = gap / larger, omega / larger, f / larger
+        zeeman_shift = 2.0 * q * q / (g * g - w * w)
+    detuned_product = product * (1.0 - omega_ratio_squared)
     if detuned_product == 0.0:
         raise SingularityError(
             "t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0; anisotropy undefined"
@@ -260,7 +275,7 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     delta_tilde = (t_plus * t_plus + t_minus * t_minus) / (2.0 * product) - (
         f * f / detuned_product
     )
-    omega_tilde = omega * (1.0 - 2.0 * f * f / (gap_squared - omega * omega))
+    omega_tilde = omega * (1.0 - zeeman_shift)
     return EffectiveParams(
         j_eff=j_eff,
         delta_tilde=delta_tilde,

@@ -52,6 +52,11 @@ EXAMPLE_CONFIG = {
 # before the scan stopped drawing verification states
 README_SCAN_SHA256 = "6fa65e8d975dc12e001623ea5e8def0bda244e49fbe5b261d7c6b5cba6013f9b"
 
+# SHA-256 of the stdout of `fidelity-sweep --max-xz 3 --max-h 3 --points 5
+# --samples 300000 --seed 7`, frozen before the grid sampler took its sines in
+# cell order
+SWEEP_5X5_SHA256 = "64bae11fe1678b16797f8bcf138da494cf9d4d14de369a15c429c5b1264b5d9e"
+
 # stdout of `pseudospin-map --m 1 --n 0` on EXAMPLE_CONFIG, frozen byte for byte
 EXAMPLE_MAP_1_0 = """\
 c_plus_i = 0.117851130198
@@ -78,6 +83,35 @@ zeeman_phase_residual = 61.0628135941
 tau = 154.533638424
 failure: anisotropy mismatch: Delta~ = 0.98817 vs required 1 (residual 0.0118298)
 failure: Zeeman phase mismatch: omega~ tau = 61.0628 vs required 0 (residual 61.0628)
+"""
+
+# stdout of `pseudospin-map --m 1 --n 0` on two field-free dots of omega =
+# 1.6e308 at U - V = 1e200, where omega^2 and (U - V)^2 overflow: f = 0 makes
+# Delta~ exactly 1 and omega~ exactly omega
+OVERFLOW_MAP_1_0 = """\
+c_plus_i = 0
+c_minus_i = 0
+c_plus_j = 0
+c_minus_j = 0
+omega_i = 1.6e+308
+omega_j = 1.6e+308
+omega = 1.6e+308
+t_plus = 0.05
+t_minus = 0.05
+f_plus = 0
+f_minus = 0
+f = 0
+j_eff = 1e-202
+delta_tilde = 1
+omega_tilde = 1.6e+308
+m = 1
+n = 0
+feasible = false
+required_delta = 1
+delta_residual = 0
+zeeman_phase_residual = inf
+tau = 3.14159265359e+202
+failure: Zeeman phase mismatch: omega~ tau = inf vs required 0 (residual inf)
 """
 
 
@@ -331,6 +365,13 @@ class TestFidelitySweep:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["f_analytic"]) == pytest.approx(7 / 15, abs=1e-12)
 
+    def test_cell_ordered_sweep_stdout_is_frozen(self, capsys):
+        argv = ["fidelity-sweep", "--max-xz", "3", "--max-h", "3", "--points", "5",
+                "--samples", "300000", "--seed", "7"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SWEEP_5X5_SHA256
+
     def test_widest_monte_carlo_extent_prints_finite_estimates(self, capsys):
         # at the bound every sampled phase is finite; beyond it the sweep
         # exits 2 (see test_out_of_range_option_exit_usage)
@@ -490,6 +531,15 @@ class TestPseudospinMap:
             captured = capsys.readouterr()
             assert (code, captured.out) == (4, ""), unit
             assert captured.err.startswith(f"error: resonance |U - V| = omega ({unit!r} vs ")
+
+    def test_overflowing_squares_keep_the_effective_parameters(self, tmp_path, capsys):
+        # both squares overflow, so Delta~ and omega~ come from ratios formed
+        # before squaring
+        config = self.field_free_pair(1.7e308, 0.8e308, U=1e200, V=0.0)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (OVERFLOW_MAP_1_0, "")
 
     def test_zero_gradient_in_dot_i_exit_singular(self, tmp_path, capsys):
         # f_- stays nonzero, so the ratio g_j b_j / g_i b_i is needed and undefined

@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,21 @@ class TestEffectiveParams:
         dot = DotSpec(**EXAMPLE_DOT)
         with pytest.raises(SingularityError, match=re.escape(f"{denominator} underflows to 0")):
             effective_params(dot, dot, coupling)
+
+    @pytest.mark.parametrize("U", [1.5e-39, 2e155, 1e300], ids=["tiny-gap", "gap-near-omega", "huge-gap"])
+    def test_overflowing_squares_keep_both_terms(self, U):
+        # omega^2 overflows at omega ~ 8e154; the values are those of the
+        # defining formulas in exact arithmetic, rounded once or a few times
+        dot = DotSpec(1.4e155, 4e154, 1.3e153, 0.0856)
+        coupling = CouplingSpec(U=U, V=0.0, t00=1e150, t11=2e150, t12=3e150)
+        e = effective_params(dot, dot, coupling)
+        assert e.omega * e.omega == math.inf
+        t_plus, t_minus, f, omega, gap = map(Fraction, (e.t_plus, e.t_minus, e.f, e.omega, U))
+        product = t_plus * t_minus
+        delta = (t_plus**2 + t_minus**2) / (2 * product) - f**2 / (product * (1 - omega**2 / gap**2))
+        omega_tilde = omega * (1 - 2 * f**2 / (gap**2 - omega**2))
+        assert e.delta_tilde == pytest.approx(float(delta), rel=1e-14)
+        assert e.omega_tilde == pytest.approx(float(omega_tilde), rel=1e-15)
 
     def test_zero_gradient_in_dot_i_with_nonzero_f_minus_raises(self):
         dot_i = DotSpec(**dict(EXAMPLE_DOT, g_times_b=0.0))

@@ -30,6 +30,7 @@ from xxzswap.fidelity import (
     BLOCK,
     CHUNK_SAMPLES,
     ENSEMBLE_MEASURES,
+    ORDERED_POINTS,
     _chunk_stats,
     _ensemble_values,
     _phase_values,
@@ -48,6 +49,10 @@ SAMPLE_COUNTS = [1, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 1234]
 WORKER_COUNTS = [1, 2, 3]
 # the (m, n) = (5, -4) swap point
 MEAN_5_M4 = PhaseTriple(9 * PI, PI, -4 * PI)
+# grid axes of ORDERED_POINTS points, which the sampler evaluates in cell
+# order, at widths 0, 2.5 and the largest the Monte Carlo takes
+ORDERED_XZ = [0.0, 2.5, 2.5, 1e300]
+ORDERED_H = [0.0, 0.0, 2.5, 1e300]
 
 
 def written_out_phase_values(spec, z):
@@ -590,7 +595,13 @@ class TestFidelityGrid:
         assert sorted(opened) == [(3, 0), (3, 1), (3, 2)]
 
     def test_chunk_sizes_that_shrink_and_grow_reuse_no_stale_data(self):
-        rows = [(0.8, 1.2, [0.4, 0.0]), (2.0, 0.0, [1.5])]
+        self.check_chunk_sizes([(0.8, 1.2, [0.4, 0.0]), (2.0, 0.0, [1.5])])
+
+    def test_cell_ordered_chunk_sizes_reuse_no_stale_data(self):
+        self.check_chunk_sizes([(x, x, ORDERED_H) for x in ORDERED_XZ])
+
+    @staticmethod
+    def check_chunk_sizes(rows):
         specs = [FluctuationSpec(lx, lz, lh, MEAN_5_M4) for lx, lz, lhs in rows for lh in lhs]
         values = _phase_values(MEAN_5_M4, rows)
         for index, n in enumerate([CHUNK_SAMPLES, 1234, 1, CHUNK_SAMPLES]):
@@ -602,6 +613,13 @@ class TestFidelityGrid:
                 assert np.array_equal(f, g)
 
     def test_one_set_of_buffers_per_worker(self, monkeypatch):
+        self.check_buffers(monkeypatch, [0.0, 0.7], [0.4, 2.5])
+
+    def test_one_set_of_buffers_per_worker_in_cell_order(self, monkeypatch):
+        self.check_buffers(monkeypatch, ORDERED_XZ, ORDERED_H)
+
+    @staticmethod
+    def check_buffers(monkeypatch, xz, h):
         # one sampler, and so one fidelity buffer, per worker; at one worker a
         # single buffer serves every grid point of all four chunks
         samplers = []
@@ -623,9 +641,9 @@ class TestFidelityGrid:
         for workers in WORKER_COUNTS:
             use_cpus(monkeypatch, workers)
             samplers.clear()
-            fidelity_grid([0.0, 0.7], [0.4, 2.5], samples=3 * CHUNK_SAMPLES + 1234)
+            fidelity_grid(xz, h, samples=3 * CHUNK_SAMPLES + 1234)
             assert len(samplers) == workers
-            assert sum(len(yielded) for yielded in samplers) == 4 * 4
+            assert sum(len(yielded) for yielded in samplers) == 4 * len(xz) * len(h)
             for yielded in samplers:
                 assert all(np.shares_memory(f, yielded[0]) for f in yielded)
 
@@ -639,6 +657,9 @@ class TestFidelityGrid:
             ([0.5, 0.5, 1.0], [0.0, 0.0, 2.0], SWAP_POINT),
             ([0.0], [0.0], SWAP_POINT),
             ([0.0, 1.5], [0.3, 3.0], MEAN_5_M4),
+            # grids of ORDERED_POINTS points compute in cell order
+            (ORDERED_XZ, ORDERED_H, SWAP_POINT),
+            (ORDERED_XZ, ORDERED_H, MEAN_5_M4),
         ],
     )
     def test_rows_match_pointwise_estimates_bitwise(self, samples, xz, h, mean):
@@ -654,6 +675,25 @@ class TestFidelityGrid:
             assert row.f_analytic == average_fidelity_analytic(spec)
             assert (row.samples, row.seed) == (samples, 11)
 
+    @pytest.mark.parametrize(
+        "xz, h, sorts",
+        [([1.0], [0.1 * k for k in range(ORDERED_POINTS - 1)], 0), (ORDERED_XZ, ORDERED_H, 2)],
+        ids=["below", "ordered-axes"],
+    )
+    def test_cell_order_from_ordered_points(self, monkeypatch, xz, h, sorts):
+        # one sort per chunk from ORDERED_POINTS grid points, none below; the
+        # bitwise cases on ORDERED_XZ x ORDERED_H take the cell-ordered path
+        calls = []
+        order = xxzswap.fidelity._cell_order
+
+        def counted(*args):
+            calls.append(1)
+            return order(*args)
+
+        monkeypatch.setattr(xxzswap.fidelity, "_cell_order", counted)
+        fidelity_grid(xz, h, samples=CHUNK_SAMPLES + 1)
+        assert len(calls) == sorts
+
 
 class TestWorkers:
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS + [BLOCK + 1, 2 * BLOCK + 1])
@@ -666,6 +706,7 @@ class TestWorkers:
                 ],
                 average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), samples, seed=7),
                 fidelity_grid([0.0, 0.7], [0.4, 2.5], samples, seed=7, mean_phases=MEAN_5_M4),
+                fidelity_grid(ORDERED_XZ, ORDERED_H, samples, seed=7),
             )
 
         results = []
