@@ -53,8 +53,10 @@ CHUNK_SAMPLES = 1 << 16
 BLOCK = 1 << 13
 
 #: Grid points from which the grid sampler evaluates each chunk in cell order
-#: of its normals; below it, sorting costs more than the sines save.
-ORDERED_POINTS = 16
+#: of its normals. Measured against the plain order, one call at 300000
+#: samples: +20-38% at 1 point, even at 4 and 5, faster from 6 on (-2 to -11%
+#: at 6, -16% at 9, -24% at 16).
+ORDERED_POINTS = 6
 
 #: Bins of z1 and of z2, and sub-bins of z0, of that cell order; the cell
 #: index fills a uint16.
