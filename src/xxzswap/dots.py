@@ -184,6 +184,14 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
     )
 
 
+def _ldexp(x: float, exponent: int) -> float:
+    """``math.ldexp``, but the signed infinity where the result overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> EffectiveParams:
     """Map two coupled dots onto effective exchange parameters.
 
@@ -199,14 +207,14 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
 
     The formulas use a single transition frequency; for inhomogeneous dots
     the average (omega_i + omega_j) / 2 is used, with a warning once the two
-    differ by more than 1%. Where (U - V)^2 or omega^2 overflows, Delta~ and
-    omega~ take omega^2 / (U - V)^2 as the square of omega / (U - V), and
-    f^2 / ((U - V)^2 - omega^2) from the ratios of f, U - V and omega to the
-    larger of |U - V| and omega, so that they, like the resonance, do not
-    depend on the energy unit. Raises on the resonance
-    |U - V| = omega, decided without overflow, on a vanishing tunneling
-    product, and where (U - V)^2 or t_+ t_- (1 - omega^2 / (U - V)^2)
-    underflows to 0: the anisotropy is undefined there.
+    differ by more than 1%. Each ratio is formed from copies of its energies
+    times one exact power of two, chosen for its divisor (|U - V|, the larger
+    of |U - V| and omega, or the geometric mean of t_+ and t_-), so that no
+    divisor overflows or underflows and every value that stays in the float
+    range is the same in any energy unit. Raises on the resonance
+    |U - V| = omega, on a vanishing tunneling product, and where (U - V)^2 or
+    t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0: the anisotropy is
+    undefined there.
     """
     check_type(dot_i, DotSpec, "dot_i")
     check_type(dot_j, DotSpec, "dot_j")
@@ -237,44 +245,33 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
         f = 0.5 * (f_plus + (dot_j.g_times_b / dot_i.g_times_b) * f_minus)
 
     gap = coupling.U - coupling.V
-    gap_squared = gap * gap
     product = t_plus * t_minus
     if product == 0.0:
         raise SingularityError("tunneling product t_+ t_- vanishes; anisotropy undefined")
-    # where a square overflows, compare those of 2**-600 gap and 2**-600 omega,
-    # which decide as unbounded floats would: no energy unit is special
-    scale = 1.0 if max(gap_squared, omega * omega) < math.inf else 2.0**-600
-    g, w = scale * gap, scale * omega
+    # exponents that bring each divisor near 1; scaling by them is exact
+    e_gap = math.frexp(gap)[1]
+    e_wide = math.frexp(max(abs(gap), omega))[1]
+    e_t = (math.frexp(t_plus)[1] + math.frexp(t_minus)[1]) // 2
+    g, w, q = _ldexp(gap, -e_wide), _ldexp(omega, -e_wide), _ldexp(f, -e_wide)
     if abs(g * g - w * w) <= 1e-12 * max(g * g, w * w):
         raise SingularityError(
             f"resonance |U - V| = omega ({abs(gap)!r} vs {omega!r}); "
             "the effective parameters diverge"
         )
-    if gap_squared == 0.0:  # U != V, but (U - V)^2 underflows
+    if gap * gap == 0.0:  # U != V, but (U - V)^2 underflows
         raise SingularityError(
             f"(U - V)^2 underflows to 0 at U - V = {gap!r}; anisotropy undefined"
         )
-    if scale == 1.0:
-        omega_ratio_squared = omega * omega / gap_squared
-        zeeman_shift = 2.0 * f * f / (gap_squared - omega * omega)
-    else:  # where a square would read inf, divide before squaring
-        # omega / (U - V) is inf where U - V is tiny, which gives the limit
-        omega_per_gap = omega / gap
-        omega_ratio_squared = omega_per_gap * omega_per_gap
-        # ratios to the larger of |U - V| and omega, so that none overflows
-        larger = max(abs(gap), omega)
-        g, w, q = gap / larger, omega / larger, f / larger
-        zeeman_shift = 2.0 * q * q / (g * g - w * w)
-    detuned_product = product * (1.0 - omega_ratio_squared)
-    if detuned_product == 0.0:
+    zeeman_shift = 2.0 * q * q / (g * g - w * w)
+    g, w = _ldexp(gap, -e_gap), _ldexp(omega, -e_gap)
+    detuning = 1.0 - w * w / (g * g)
+    if product * detuning == 0.0:
         raise SingularityError(
             "t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0; anisotropy undefined"
         )
-
-    j_eff = 4.0 * product / gap
-    delta_tilde = (t_plus * t_plus + t_minus * t_minus) / (2.0 * product) - (
-        f * f / detuned_product
-    )
+    tp, tm, q = _ldexp(t_plus, -e_t), _ldexp(t_minus, -e_t), _ldexp(f, -e_t)
+    j_eff = _ldexp(4.0 * (tp * tm) / g, 2 * e_t - e_gap)
+    delta_tilde = (tp * tp + tm * tm) / (2.0 * (tp * tm)) - q * q / ((tp * tm) * detuning)
     omega_tilde = omega * (1.0 - zeeman_shift)
     return EffectiveParams(
         j_eff=j_eff,

@@ -541,6 +541,31 @@ class TestPseudospinMap:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (OVERFLOW_MAP_1_0, "")
 
+    def test_field_free_pair_maps_alike_in_every_unit(self, tmp_path, capsys):
+        # the same device with every energy times 1 and times 2**600, where
+        # t_+ t_- and the squares overflow: the dimensionless lines agree
+        pure = ("delta_tilde", "required_delta", "delta_residual", "zeeman_phase_residual",
+                "feasible")
+        printed, j_eff = [], []
+        for k in (0, 600):
+            config = {
+                section: {key: math.ldexp(value, k) for key, value in fields.items()}
+                for section, fields in self.field_free_pair(1.0, 0.2, U=1.0, V=0.5).items()
+            }
+            argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            fields = parse_fields(captured.out)
+            failures = [line for line in captured.out.splitlines() if line.startswith("failure: ")]
+            printed.append(([fields[name] for name in pure], failures))
+            j_eff.append(float(fields["j_eff"]))
+        assert printed[0] == printed[1]
+        values, failures = printed[0]
+        assert values[:3] == ["1", "1", "0"]
+        assert len(failures) == 1 and failures[0].startswith("failure: Zeeman phase mismatch")
+        assert j_eff == pytest.approx([0.02, math.ldexp(0.02, 600)], rel=1e-11)
+
     def test_zero_gradient_in_dot_i_exit_singular(self, tmp_path, capsys):
         # f_- stays nonzero, so the ratio g_j b_j / g_i b_i is needed and undefined
         config = dict(EXAMPLE_CONFIG)
@@ -638,13 +663,11 @@ class TestPseudospinMap:
     @pytest.mark.parametrize(
         "section, key, value, fields, failures",
         [
-            # t_+ t_- overflows, so J_eff = inf and Delta~ = inf / inf
+            # 4 t_+ t_- / (U - V) overflows, so J_eff = inf, while t_+ = t_- keeps
+            # Delta~ at 1
             (
-                "coupling", "t00", 1.7e308, {"j_eff": "inf", "delta_tilde": "nan"},
-                [
-                    "J_eff = inf is not finite",
-                    "anisotropy mismatch: Delta~ = nan vs required 1 (residual nan)",
-                ],
+                "coupling", "t00", 1.7e308, {"j_eff": "inf", "delta_tilde": "1"},
+                ["J_eff = inf is not finite"],
             ),
             # g_j b_j / g_i b_i overflows f, so f^2 = inf
             (

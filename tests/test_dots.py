@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -268,20 +269,23 @@ class TestEffectiveParams:
             effective_params(dot, dot, coupling)
 
     @pytest.mark.parametrize(
-        "coupling, denominator",
+        "zeeman_z, coupling, denominator",
         [
             # U != V, but (U - V)^2 underflows to 0
-            (CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
+            (0.2, CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
             # t_+ t_- ~ 1e-323 is not 0, but its product with 1 - omega^2 / (U - V)^2 is
             (
+                0.2,
                 CouplingSpec(U=0.4032, V=0.0, t00=3e-162, t11=0.0, t12=0.0),
                 "t_+ t_- (1 - omega^2 / (U - V)^2)",
             ),
+            # omega = 0 is far from |U - V| = 1e-300: no resonance, though both squares are 0
+            (0.0, CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
         ],
-        ids=["gap-squared", "detuned-product"],
+        ids=["gap-squared", "detuned-product", "gap-squared-at-zero-frequency"],
     )
-    def test_underflowing_denominator_raises(self, coupling, denominator):
-        dot = DotSpec(**EXAMPLE_DOT)
+    def test_underflowing_denominator_raises(self, zeeman_z, coupling, denominator):
+        dot = DotSpec(**dict(EXAMPLE_DOT, zeeman_z=zeeman_z))
         with pytest.raises(SingularityError, match=re.escape(f"{denominator} underflows to 0")):
             effective_params(dot, dot, coupling)
 
@@ -300,6 +304,37 @@ class TestEffectiveParams:
         assert e.delta_tilde == pytest.approx(float(delta), rel=1e-14)
         assert e.omega_tilde == pytest.approx(float(omega_tilde), rel=1e-15)
 
+    def test_every_energy_unit_gives_the_same_parameters(self):
+        # D * 2**k maps to the fields of D, each energy times 2**k, wherever
+        # both map and that product is a normal float
+        compared = overflowing = 0
+        for k, dots, coupling in unit_pairs(1500, seed=2027):
+            results = []
+            for shift in (0, k):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # strained and unequal dots are inputs too
+                        results.append(
+                            effective_params(
+                                *(DotSpec(*(math.ldexp(x, shift) for x in dot)) for dot in dots),
+                                CouplingSpec(*(math.ldexp(x, shift) for x in coupling)),
+                            )
+                        )
+                except SingularityError:
+                    break
+            if len(results) < 2:
+                continue
+            unit, scaled = results
+            for field in dataclasses.fields(EffectiveParams):
+                value = getattr(unit, field.name)
+                expected = in_unit(value, k) if field.name in ENERGY_FIELDS else value
+                if expected is not None:
+                    assert repr(getattr(scaled, field.name)) == repr(expected), (field.name, k)
+            compared += 1
+            overflowing += scaled.t_plus * scaled.t_minus == math.inf
+        assert compared > 1400
+        assert overflowing > 400
+
     def test_zero_gradient_in_dot_i_with_nonzero_f_minus_raises(self):
         dot_i = DotSpec(**dict(EXAMPLE_DOT, g_times_b=0.0))
         with pytest.raises(SingularityError, match="inhomogeneity ratio"):
@@ -311,6 +346,43 @@ class TestEffectiveParams:
         # each finite, but U - V overflows and would pass for a resonance
         with pytest.raises(ValidationError, match="U - V must be finite"):
             CouplingSpec(U=1e308, V=-1e308, t00=0.05, t11=0.05, t12=0.02)
+
+
+# the fields of EffectiveParams that carry the energy unit; the others are
+# pure numbers
+ENERGY_FIELDS = {
+    "omega_i", "omega_j", "omega", "t_plus", "t_minus", "f_plus", "f_minus", "f", "j_eff",
+    "omega_tilde",
+}
+
+
+def in_unit(value, k):
+    """value * 2**k, or None where that leaves the normal float range."""
+    try:
+        result = math.ldexp(value, k)
+    except OverflowError:
+        return None
+    return result if result == 0.0 or abs(result) >= sys.float_info.min else None
+
+
+def unit_pairs(count, seed):
+    """Seeded devices ``(k, dots, coupling)``, each dot and the coupling as the
+    field tuple of its type in unit 1, with k in [-300, 1000]: from k ~ 510 on,
+    squares of the energies times 2**k overflow. Every field is at least 1e-3
+    in size, save the gradient, which shrinks with k so that its h^2 stays
+    finite at 2**k."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(-300, 1001))
+        dots = []
+        for _ in range(2):
+            zeeman = rng.uniform(-0.45, 0.45)
+            gradient = rng.uniform(1e-3, 0.3) * (1.0 - abs(zeeman)) * min(1.0, 2.0 ** (450 - k))
+            dots.append((1.0, zeeman, gradient * rng.choice([-1, 1]), rng.uniform(0.01, 0.1)))
+        gap = rng.uniform(0.05, 3.0) * rng.choice([-1, 1])
+        V = rng.uniform(-1.0, 1.0)
+        tunneling = rng.uniform(1e-3, 0.3, 3) * rng.choice([-1, 1], 3)
+        yield k, dots, (V + gap, V, *tunneling)
 
 
 def make_effective(j_eff, delta_tilde, omega_tilde):

@@ -195,19 +195,6 @@ class TestVerifySwap:
         with pytest.raises(ValidationError, match="tolerance must be below 1/2"):
             verify_swap(SwapPlan(2, 1, 1.0), tolerance=0.5)
 
-    def test_seed_validated(self):
-        plan = SwapPlan(2, 1, 1.0)
-        for seed in (1.5, True, "7", None):
-            with pytest.raises(ValidationError, match="seed must be an integer"):
-                verify_swap(plan, seed=seed)
-        for seed in (-1, 2**128):
-            with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*128\)"):
-                verify_swap(plan, seed=seed)
-            with pytest.raises(ValidationError, match="seed must lie"):
-                verify_schedule(PulseSchedule.constant(plan.params, plan.tau), plan.kind, seed=seed)
-        assert verify_swap(plan, seed=2**128 - 1).passed
-        assert verify_swap(plan, seed=np.int64(7)) == verify_swap(plan, seed=7)
-
     def test_state_count_validated(self):
         plan = SwapPlan(2, 1, 1.0)
         schedule = PulseSchedule.constant(plan.params, plan.tau)

@@ -220,6 +220,29 @@ def test_counts_are_integers_within_their_bound(name, call, bound):
     assert result == call(least) and type(count) is int and count == least
 
 
+# (callee, call with the seed in its place): every seed is a Philox key
+SEEDS = [
+    ("verify_swap", lambda v: verify_swap(PLAN, n_states=1, seed=v)),
+    ("verify_schedule", lambda v: verify_schedule(PLAN.schedule(), "swap", n_states=1, seed=v)),
+    ("average_fidelity_mc", lambda v: average_fidelity_mc(FluctuationSpec(0.8, 1.2, 0.4), 10, v)),
+    ("state_ensemble_fidelity", lambda v: state_ensemble_fidelity(ORIGIN, "haar_product", 10, v)),
+    ("fidelity_grid", lambda v: fidelity_grid([0.5], [0.5], 10, v)[0]),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in SEEDS], ids=[f"seed-{name}" for name, _ in SEEDS])
+def test_seeds_are_philox_keys(call):
+    for value in (None, "7", True, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            call(value)
+    for value in (-1, 2**128, -(2**200)):
+        with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*128\), got {value}$"):
+            call(value)
+    # the largest key, and a numpy integer as the same key
+    assert getattr(call(2**128 - 1), "passed", True)
+    assert call(np.uint64(7)) == call(7)
+
+
 def test_mean_phases_must_be_a_phase_triple():
     # a tuple used to be stored, and failed only when the average read it
     with pytest.raises(ValidationError, match="mean_phases"):
