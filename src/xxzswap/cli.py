@@ -158,11 +158,9 @@ def _json_object(value, keys, where: str) -> list:
 
 
 def _build_from_config(cls, mapping, where: str):
-    names = [f.name for f in dataclasses.fields(cls)]
-    members = zip(names, _json_object(mapping, names, where))
-    values = [check_real(value, f"{where}.{name}") for name, value in members]
+    values = _json_object(mapping, [f.name for f in dataclasses.fields(cls)], where)
     try:
-        return cls(*values)
+        return cls(*values)  # the spec checks each value
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -328,12 +326,9 @@ def main(argv=None) -> int:
             args.seed = _resolve_seed(args.seed)
         return handler(args)
     # a size too large to allocate is a usage error too
-    except (ValidationError, MemoryError) as exc:
+    except (ValidationError, MemoryError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return EXIT_SINGULAR if isinstance(exc, SingularityError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -128,6 +128,14 @@ class EffectiveParams:
     omega_tilde: float  # effective Zeeman splitting
 
 
+def _ldexp(x: float, exponent: int) -> float:
+    """``math.ldexp``, but the signed infinity where the result overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
     """Second-order ground energies and first-order mixing of one dot.
 
@@ -138,11 +146,12 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         C_s = h / (E0(0, s) - E0(1, -s)),
         E_s = E0(0, s) + h^2 / (E0(0, s) - E0(1, -s)).
 
+    The shift is formed from copies of h and the denominator times the
+    exact power of two that brings the denominator near 1, so h^2 never
+    overflows on its own and the levels are the same in any energy unit.
     Raises when a denominator degenerates (zeeman_z * s = hbar_omega0 / 2),
-    where the expansion breaks down, and when a level or the splitting
-    overflows, as the shift h^2 / (E0(0, s) - E0(1, -s)) does once
-    |gradient_coupling| exceeds about 1.9e154; warns when a |C| exceeds
-    ``MIXING_WARN_THRESHOLD``.
+    where the expansion breaks down, and when a level or the splitting is
+    not finite; warns when a |C| exceeds ``MIXING_WARN_THRESHOLD``.
     """
     check_type(dot, DotSpec, "dot")
     h = -0.5 * math.sqrt(2.0) * dot.gradient_coupling
@@ -157,7 +166,9 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
                 f"perturbation theory breaks down for spin branch s = {s:+d}: "
                 "zeeman_z * s = hbar_omega0 / 2 makes |0, s> and |1, -s> degenerate"
             )
-        energies[s] = e_ground + h * h / denom
+        exponent = math.frexp(denom)[1]
+        scaled_h, scaled_denom = _ldexp(h, -exponent), _ldexp(denom, -exponent)
+        energies[s] = e_ground + _ldexp(scaled_h * scaled_h / scaled_denom, exponent)
         mixings[s] = h / denom
     omega = abs(energies[+1] - energies[-1])
     # a level, or a mixing coefficient (nan only where its level is), that is
@@ -182,14 +193,6 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         c_minus=mixings[-1],
         omega=omega,
     )
-
-
-def _ldexp(x: float, exponent: int) -> float:
-    """``math.ldexp``, but the signed infinity where the result overflows."""
-    try:
-        return math.ldexp(x, exponent)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> EffectiveParams:
@@ -221,9 +224,7 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     check_type(coupling, CouplingSpec, "coupling")
     levels_i = perturbed_levels(dot_i)
     levels_j = perturbed_levels(dot_j)
-    omega = 0.5 * (levels_i.omega + levels_j.omega)
-    if math.isinf(omega):  # the sum of two finite frequencies overflows; halve first
-        omega = 0.5 * levels_i.omega + 0.5 * levels_j.omega
+    omega = 0.5 * levels_i.omega + 0.5 * levels_j.omega  # halved first, so it never overflows
     if omega > 0.0 and abs(levels_i.omega - levels_j.omega) / omega > 0.01:
         warnings.warn(
             "dot transition frequencies differ by more than 1%; using their average",

@@ -488,7 +488,31 @@ class TestPseudospinMap:
         code = main(["pseudospin-map", "--config", write_config(tmp_path, config)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "dot_j.zeeman_z" in err
+        assert "dot_j: zeeman_z must be a real number" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("dot_j", "zeeman_z", '"big"', "zeeman_z must be a real number, got 'big'"),
+            ("dot_i", "g_times_b", "true", "g_times_b must be a real number, got True"),
+            ("coupling", "t11", "1e400", "t11 must be finite, got inf"),
+            ("dot_i", "hbar_omega0", "-1.0", "hbar_omega0 must be finite and positive, got -1.0"),
+            ("dot_j", "gradient_coupling", "0.9", "field terms must stay below the orbital quantum"),
+        ],
+        ids=["string", "bool", "overflowing-number", "negative-frequency", "field-terms"],
+    )
+    def test_rejected_value_names_its_section_and_field(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        config[section][key] = "VALUE"
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(config).replace('"VALUE"', value))
+        assert main(["pseudospin-map", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {section}: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_resonance_exit_singular(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)
@@ -602,11 +626,12 @@ class TestPseudospinMap:
         assert result.stderr.count("\n") == 1  # one line, no traceback
 
     def test_overflowing_levels_exit_singular(self, tmp_path):
-        # each dot passes its own checks, but its second-order shift overflows
+        # each dot passes its own checks, but its second-order shift
+        # h^2 / (-2e290) is -4e308, so its spin-up level overflows
         config = json.loads(json.dumps(EXAMPLE_CONFIG))
         for key in ("dot_i", "dot_j"):
             config[key] = {
-                "hbar_omega0": 1e300, "zeeman_z": 2e299, "gradient_coupling": 1e299,
+                "hbar_omega0": 1e300, "zeeman_z": 4.999999999e299, "gradient_coupling": 4e299,
                 "g_times_b": 0.05,
             }
         config["coupling"] = {"U": 1e200, "V": 0.0, "t00": 0.05, "t11": 0.05, "t12": 0.02}
@@ -622,7 +647,7 @@ class TestPseudospinMap:
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.startswith("error: pseudospin levels are not finite")
-        assert "gradient_coupling = 1e+299" in result.stderr
+        assert "gradient_coupling = 4e+299" in result.stderr
         assert result.stderr.count("\n") == 1  # one line, no traceback
 
     def test_overflowing_gap_exit_usage(self, tmp_path, capsys):

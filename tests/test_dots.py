@@ -114,13 +114,27 @@ class TestPerturbedLevels:
             perturbed_levels(DotSpec(1.0, -0.5, 0.1, 0.1))
 
     def test_overflowing_second_order_shift_raises(self):
-        # the dot passes its own checks, but h^2 overflows to inf
-        dot = DotSpec(1e300, 2e299, 1e299, 0.05)
+        # the dot passes its own checks, but its shift h^2 / (-2e290) is -4e308
+        dot = DotSpec(1e300, 4.999999999e299, 4e299, 0.05)
         with pytest.raises(SingularityError, match=r"second-order shift .* overflows") as info:
             perturbed_levels(dot)
-        assert "gradient_coupling = 1e+299" in str(info.value)
+        assert "e_plus = -inf" in str(info.value)
+        assert "gradient_coupling = 4e+299" in str(info.value)
         with pytest.raises(SingularityError, match="not finite"):
             effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
+
+    def test_finite_shift_maps_where_h_squared_overflows(self):
+        # the worked example in a unit of 1e300: h^2 overflows, but the shift is finite
+        dot = DotSpec(1e300, 2e299, 1e299, 0.05)
+        levels = perturbed_levels(dot)
+        assert levels.c_plus == pytest.approx(EXAMPLE_C_PLUS, rel=1e-14)
+        assert levels.c_minus == pytest.approx(EXAMPLE_C_MINUS, rel=1e-14)
+        assert levels.e_plus == pytest.approx(EXAMPLE_E_PLUS * 1e300, rel=1e-14)
+        assert levels.e_minus == pytest.approx(EXAMPLE_E_MINUS * 1e300, rel=1e-14)
+        assert levels.omega == pytest.approx(EXAMPLE_OMEGA * 1e300, rel=1e-14)
+        effective = effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
+        assert effective.omega == levels.omega
+        assert math.isfinite(effective.delta_tilde) and math.isfinite(effective.omega_tilde)
 
     def test_large_mixing_warns(self):
         with pytest.warns(UserWarning, match="exceeds 0.3"):
@@ -369,15 +383,14 @@ def unit_pairs(count, seed):
     """Seeded devices ``(k, dots, coupling)``, each dot and the coupling as the
     field tuple of its type in unit 1, with k in [-300, 1000]: from k ~ 510 on,
     squares of the energies times 2**k overflow. Every field is at least 1e-3
-    in size, save the gradient, which shrinks with k so that its h^2 stays
-    finite at 2**k."""
+    in size."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         k = int(rng.integers(-300, 1001))
         dots = []
         for _ in range(2):
             zeeman = rng.uniform(-0.45, 0.45)
-            gradient = rng.uniform(1e-3, 0.3) * (1.0 - abs(zeeman)) * min(1.0, 2.0 ** (450 - k))
+            gradient = rng.uniform(1e-3, 0.3) * (1.0 - abs(zeeman))
             dots.append((1.0, zeeman, gradient * rng.choice([-1, 1]), rng.uniform(0.01, 0.1)))
         gap = rng.uniform(0.05, 3.0) * rng.choice([-1, 1])
         V = rng.uniform(-1.0, 1.0)

@@ -276,16 +276,6 @@ class TestEstimatorInputs:
         with pytest.raises(ValidationError, match="samples must be an integer"):
             ESTIMATORS[estimator](samples, 7)
 
-    @pytest.mark.parametrize("seed", [1.5, True, "7", None])
-    def test_non_integer_seed_rejected(self, estimator, seed):
-        with pytest.raises(ValidationError, match="seed must be an integer"):
-            ESTIMATORS[estimator](10, seed)
-
-    @pytest.mark.parametrize("seed", [2**128, -(2**200)])
-    def test_seed_outside_the_philox_keys_rejected(self, estimator, seed):
-        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*128\)"):
-            ESTIMATORS[estimator](10, seed)
-
     def test_integers_of_every_kind_accepted(self, estimator):
         for seed in (0, 2**128 - 1):
             ESTIMATORS[estimator](10, seed)
