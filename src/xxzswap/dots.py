@@ -146,33 +146,32 @@ def perturbed_levels(dot: DotSpec) -> PseudospinLevels:
         C_s = h / (E0(0, s) - E0(1, -s)),
         E_s = E0(0, s) + h^2 / (E0(0, s) - E0(1, -s)).
 
-    The shift is formed from copies of h and the denominator times the
-    exact power of two that brings the denominator near 1, so h^2 never
-    overflows on its own and the levels are the same in any energy unit.
+    Each level is formed in the dot's unit, the power of two just above
+    hbar_omega0, and scaled back: h^2 and 1.5 hbar_omega0 never overflow,
+    the degeneracy test never underflows, and dot * 2^k has levels * 2^k.
     Raises when a denominator degenerates (zeeman_z * s = hbar_omega0 / 2),
     where the expansion breaks down, and when a level or the splitting is
     not finite; warns when a |C| exceeds ``MIXING_WARN_THRESHOLD``.
     """
     check_type(dot, DotSpec, "dot")
-    h = -0.5 * math.sqrt(2.0) * dot.gradient_coupling
+    unit = math.frexp(dot.hbar_omega0)[1]
+    w0, zeeman = math.ldexp(dot.hbar_omega0, -unit), math.ldexp(dot.zeeman_z, -unit)
+    h = -0.5 * math.sqrt(2.0) * math.ldexp(dot.gradient_coupling, -unit)
     energies = {}
     mixings = {}
     for s in (+1, -1):
-        e_ground = 0.5 * dot.hbar_omega0 + dot.zeeman_z * s
-        e_flipped = 1.5 * dot.hbar_omega0 - dot.zeeman_z * s
+        e_ground = 0.5 * w0 + zeeman * s
+        e_flipped = 1.5 * w0 - zeeman * s
         denom = e_ground - e_flipped
-        if abs(denom) < 1e-12 * dot.hbar_omega0:
+        if abs(denom) < 1e-12 * w0:
             raise SingularityError(
                 f"perturbation theory breaks down for spin branch s = {s:+d}: "
                 "zeeman_z * s = hbar_omega0 / 2 makes |0, s> and |1, -s> degenerate"
             )
-        exponent = math.frexp(denom)[1]
-        scaled_h, scaled_denom = _ldexp(h, -exponent), _ldexp(denom, -exponent)
-        energies[s] = e_ground + _ldexp(scaled_h * scaled_h / scaled_denom, exponent)
+        energies[s] = _ldexp(e_ground + h * h / denom, unit)
         mixings[s] = h / denom
     omega = abs(energies[+1] - energies[-1])
-    # a level, or a mixing coefficient (nan only where its level is), that is
-    # not finite leaves omega nan or inf too
+    # a level that overflows leaves omega inf or nan; each mixing is finite
     if not math.isfinite(omega):
         raise SingularityError(
             f"pseudospin levels are not finite (e_plus = {energies[+1]!r}, "

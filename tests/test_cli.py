@@ -601,16 +601,24 @@ class TestPseudospinMap:
         assert "inhomogeneity ratio" in captured.err
 
     @pytest.mark.parametrize(
-        "coupling, denominator",
+        "section, update, denominator",
         [
-            ({"U": 1e-300, "V": 0.0}, "(U - V)^2"),
-            ({"U": 0.4032, "V": 0.0, "t00": 3e-162, "t11": 0.0, "t12": 0.0}, "t_+ t_- (1 - omega^2"),
+            ("coupling", {"U": 1e-300, "V": 0.0}, "(U - V)^2"),
+            (
+                "coupling", {"U": 0.4032, "V": 0.0, "t00": 3e-162, "t11": 0.0, "t12": 0.0},
+                "t_+ t_- (1 - omega^2",
+            ),
+            # 1e-12 * hbar_omega0 underflows to 0, but the denominator is 0 too
+            (
+                "dot_i", {"hbar_omega0": 2e-323, "zeeman_z": 1e-323, "gradient_coupling": 0.0},
+                "perturbation theory breaks down",
+            ),
         ],
-        ids=["gap-squared", "detuned-product"],
+        ids=["gap-squared", "detuned-product", "subnormal-dot"],
     )
-    def test_underflowing_denominator_exit_singular(self, tmp_path, coupling, denominator):
+    def test_underflowing_denominator_exit_singular(self, tmp_path, section, update, denominator):
         config = json.loads(json.dumps(EXAMPLE_CONFIG))
-        config["coupling"].update(coupling)
+        config[section].update(update)
         argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
         src = str(Path(cli.__file__).parents[1])
         result = subprocess.run(
@@ -649,6 +657,19 @@ class TestPseudospinMap:
         assert result.stderr.startswith("error: pseudospin levels are not finite")
         assert "gradient_coupling = 4e+299" in result.stderr
         assert result.stderr.count("\n") == 1  # one line, no traceback
+
+    def test_dot_near_the_largest_float_maps(self, tmp_path, capsys):
+        # the example dots times 1.7e308, where 1.5 hbar_omega0 and h^2 overflow
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in ("dot_i", "dot_j"):
+            config[key].update(hbar_omega0=1.7e308, zeeman_z=0.34e308, gradient_coupling=0.17e308)
+        argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fields = parse_fields(captured.out)
+        assert (fields["c_plus_i"], fields["c_minus_j"]) == ("0.117851130198", "0.0505076272276")
+        assert fields["omega"] == "6.71904761905e+307"
 
     def test_overflowing_gap_exit_usage(self, tmp_path, capsys):
         config = dict(EXAMPLE_CONFIG)

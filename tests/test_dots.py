@@ -112,6 +112,9 @@ class TestPerturbedLevels:
             perturbed_levels(DotSpec(1.0, 0.5, 0.1, 0.1))
         with pytest.raises(SingularityError, match="degenerate"):
             perturbed_levels(DotSpec(1.0, -0.5, 0.1, 0.1))
+        # a subnormal dot, where 1e-12 * hbar_omega0 underflows to 0
+        with pytest.raises(SingularityError, match="degenerate"):
+            perturbed_levels(DotSpec(2e-323, 1e-323, 0.0, 0.05))
 
     def test_overflowing_second_order_shift_raises(self):
         # the dot passes its own checks, but its shift h^2 / (-2e290) is -4e308
@@ -124,17 +127,58 @@ class TestPerturbedLevels:
             effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
 
     def test_finite_shift_maps_where_h_squared_overflows(self):
-        # the worked example in a unit of 1e300: h^2 overflows, but the shift is finite
-        dot = DotSpec(1e300, 2e299, 1e299, 0.05)
-        levels = perturbed_levels(dot)
-        assert levels.c_plus == pytest.approx(EXAMPLE_C_PLUS, rel=1e-14)
-        assert levels.c_minus == pytest.approx(EXAMPLE_C_MINUS, rel=1e-14)
-        assert levels.e_plus == pytest.approx(EXAMPLE_E_PLUS * 1e300, rel=1e-14)
-        assert levels.e_minus == pytest.approx(EXAMPLE_E_MINUS * 1e300, rel=1e-14)
-        assert levels.omega == pytest.approx(EXAMPLE_OMEGA * 1e300, rel=1e-14)
-        effective = effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
-        assert effective.omega == levels.omega
-        assert math.isfinite(effective.delta_tilde) and math.isfinite(effective.omega_tilde)
+        # the worked example in a unit of 1e300, where h^2 overflows, and of
+        # 1.7e308, where 1.5 hbar_omega0 overflows too: the levels are finite
+        for unit, dot, rel in (
+            (1e300, DotSpec(1e300, 2e299, 1e299, 0.05), 1e-14),
+            (1.7e308, DotSpec(1.7e308, 0.34e308, 0.17e308, 0.05), 1e-15),
+        ):
+            levels = perturbed_levels(dot)
+            assert levels.c_plus == pytest.approx(EXAMPLE_C_PLUS, rel=rel)
+            assert levels.c_minus == pytest.approx(EXAMPLE_C_MINUS, rel=rel)
+            assert levels.e_plus == pytest.approx(EXAMPLE_E_PLUS * unit, rel=rel)
+            assert levels.e_minus == pytest.approx(EXAMPLE_E_MINUS * unit, rel=rel)
+            assert levels.omega == pytest.approx(EXAMPLE_OMEGA * unit, rel=rel)
+            effective = effective_params(dot, dot, CouplingSpec(1e200, 0.0, 0.05, 0.05, 0.02))
+            assert effective.omega == levels.omega
+            assert math.isfinite(effective.delta_tilde) and math.isfinite(effective.omega_tilde)
+
+    def test_subnormal_dot_maps_like_its_scaled_copy(self):
+        # 40, 7 and 3 times the smallest subnormal, against the same dot times 2**1074
+        tiny = math.ldexp(1.0, -1074)
+        levels = perturbed_levels(DotSpec(40 * tiny, 7 * tiny, 3 * tiny, 0.05))
+        copy = perturbed_levels(DotSpec(40.0, 7.0, 3.0, 0.05))
+        assert (levels.c_plus, levels.c_minus) == (copy.c_plus, copy.c_minus)
+        assert (levels.e_plus, levels.e_minus) == (
+            math.ldexp(copy.e_plus, -1074), math.ldexp(copy.e_minus, -1074)
+        )
+        assert levels.omega == abs(levels.e_plus - levels.e_minus) > 0.0
+
+    def test_every_energy_unit_gives_the_same_levels(self):
+        # a dot times 2**k has its levels times 2**k and the same mixings, bit
+        # for bit, wherever its inputs and levels are normal floats
+        rng = np.random.default_rng(1074)
+        compared = 0
+        for _ in range(20000):
+            k = int(rng.integers(-1020, 1023))
+            hbar_omega0 = rng.uniform(0.5, 2.0)
+            zeeman = rng.uniform(-0.95, 0.95) * hbar_omega0
+            gradient = rng.uniform(-0.99, 0.99) * (hbar_omega0 - abs(zeeman))
+            dot = (hbar_omega0, zeeman, gradient)
+            scaled = [in_unit(x, k) for x in dot]
+            if None in scaled:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # strained dots are inputs too
+                unit = perturbed_levels(DotSpec(*dot, 0.05))
+                levels = perturbed_levels(DotSpec(*scaled, 0.05))
+            expected = [in_unit(getattr(unit, name), k) for name in ("e_plus", "e_minus", "omega")]
+            if None in expected:
+                continue
+            assert [levels.e_plus, levels.e_minus, levels.omega] == expected, (dot, k)
+            assert (levels.c_plus, levels.c_minus) == (unit.c_plus, unit.c_minus), (dot, k)
+            compared += 1
+        assert compared > 19000
 
     def test_large_mixing_warns(self):
         with pytest.warns(UserWarning, match="exceeds 0.3"):

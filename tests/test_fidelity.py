@@ -271,11 +271,6 @@ ESTIMATORS = {
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 class TestEstimatorInputs:
-    @pytest.mark.parametrize("samples", [2.5, 1e3, True, "10", None])
-    def test_non_integer_sample_count_rejected(self, estimator, samples):
-        with pytest.raises(ValidationError, match="samples must be an integer"):
-            ESTIMATORS[estimator](samples, 7)
-
     def test_integers_of_every_kind_accepted(self, estimator):
         for seed in (0, 2**128 - 1):
             ESTIMATORS[estimator](10, seed)
