@@ -213,10 +213,10 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
     times one exact power of two, chosen for its divisor (|U - V|, the larger
     of |U - V| and omega, or the geometric mean of t_+ and t_-), so that no
     divisor overflows or underflows and every value that stays in the float
-    range is the same in any energy unit. Raises on the resonance
-    |U - V| = omega, on a vanishing tunneling product, and where (U - V)^2 or
-    t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0: the anisotropy is
-    undefined there.
+    range is the same in any energy unit. Each error is decided in those
+    units too, so D and D * 2^k raise alike: on a vanishing tunneling
+    product (t_+ or t_- is 0) and on the resonance |U - V| = omega, where the
+    anisotropy is undefined.
     """
     check_type(dot_i, DotSpec, "dot_i")
     check_type(dot_j, DotSpec, "dot_j")
@@ -242,37 +242,30 @@ def effective_params(dot_i: DotSpec, dot_j: DotSpec, coupling: CouplingSpec) -> 
             "gradient but f_- is nonzero"
         )
     else:
-        f = 0.5 * (f_plus + (dot_j.g_times_b / dot_i.g_times_b) * f_minus)
+        f = 0.5 * f_plus + 0.5 * ((dot_j.g_times_b / dot_i.g_times_b) * f_minus)
 
     gap = coupling.U - coupling.V
-    product = t_plus * t_minus
-    if product == 0.0:
-        raise SingularityError("tunneling product t_+ t_- vanishes; anisotropy undefined")
     # exponents that bring each divisor near 1; scaling by them is exact
     e_gap = math.frexp(gap)[1]
     e_wide = math.frexp(max(abs(gap), omega))[1]
     e_t = (math.frexp(t_plus)[1] + math.frexp(t_minus)[1]) // 2
+    tp, tm = _ldexp(t_plus, -e_t), _ldexp(t_minus, -e_t)
+    product = tp * tm  # 0 only where t_+ or t_- is
+    if product == 0.0:
+        raise SingularityError("tunneling product t_+ t_- vanishes; anisotropy undefined")
     g, w, q = _ldexp(gap, -e_wide), _ldexp(omega, -e_wide), _ldexp(f, -e_wide)
     if abs(g * g - w * w) <= 1e-12 * max(g * g, w * w):
         raise SingularityError(
             f"resonance |U - V| = omega ({abs(gap)!r} vs {omega!r}); "
             "the effective parameters diverge"
         )
-    if gap * gap == 0.0:  # U != V, but (U - V)^2 underflows
-        raise SingularityError(
-            f"(U - V)^2 underflows to 0 at U - V = {gap!r}; anisotropy undefined"
-        )
     zeeman_shift = 2.0 * q * q / (g * g - w * w)
-    g, w = _ldexp(gap, -e_gap), _ldexp(omega, -e_gap)
+    g, w, q = _ldexp(gap, -e_gap), _ldexp(omega, -e_gap), _ldexp(f, -e_t)
     detuning = 1.0 - w * w / (g * g)
-    if product * detuning == 0.0:
-        raise SingularityError(
-            "t_+ t_- (1 - omega^2 / (U - V)^2) underflows to 0; anisotropy undefined"
-        )
-    tp, tm, q = _ldexp(t_plus, -e_t), _ldexp(t_minus, -e_t), _ldexp(f, -e_t)
-    j_eff = _ldexp(4.0 * (tp * tm) / g, 2 * e_t - e_gap)
-    delta_tilde = (tp * tp + tm * tm) / (2.0 * (tp * tm)) - q * q / ((tp * tm) * detuning)
-    omega_tilde = omega * (1.0 - zeeman_shift)
+    j_eff = _ldexp(4.0 * product / g, 2 * e_t - e_gap)
+    delta_tilde = (tp * tp + tm * tm) / (2.0 * product) - q * q / (product * detuning)
+    # omega = 0 gives omega~ = 0, also where the pure number zeeman_shift overflows
+    omega_tilde = omega * (1.0 - zeeman_shift) if omega or math.isfinite(zeeman_shift) else 0.0
     return EffectiveParams(
         j_eff=j_eff,
         delta_tilde=delta_tilde,

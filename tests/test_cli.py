@@ -601,20 +601,48 @@ class TestPseudospinMap:
         assert "inhomogeneity ratio" in captured.err
 
     @pytest.mark.parametrize(
+        "update, k",
+        [
+            ({"U": 1e-300, "V": 0.0}, 600),
+            ({"U": 0.4032, "V": 0.0, "t00": 3e-162, "t11": 0.0, "t12": 0.0}, 200),
+        ],
+        ids=["gap-squared", "detuned-product"],
+    )
+    def test_underflowing_squares_map_alike_in_every_unit(self, tmp_path, capsys, update, k):
+        # (U - V)^2, or t_+ t_- and its product with 1 - omega^2 / (U - V)^2,
+        # underflow to 0 in unit 1 but not in unit 2**k: both map on exit 0,
+        # with the same pure numbers and each energy times 2**k
+        pure = ("c_plus_i", "c_minus_i", "c_plus_j", "c_minus_j", "delta_tilde")
+        energies = ("omega", "t_plus", "t_minus", "f", "omega_tilde")
+        config = json.loads(json.dumps(EXAMPLE_CONFIG))
+        config["coupling"].update(update)
+        printed = []
+        for shift in (0, k):
+            scaled = {
+                section: {key: math.ldexp(value, shift) for key, value in fields.items()}
+                for section, fields in config.items()
+            }
+            argv = ["pseudospin-map", "--config", write_config(tmp_path, scaled), "--m", "1", "--n", "0"]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(parse_fields(captured.out))
+        unit, copy = printed
+        assert [unit[name] for name in pure] == [copy[name] for name in pure]
+        assert [math.ldexp(float(unit[name]), k) for name in energies] == pytest.approx(
+            [float(copy[name]) for name in energies], rel=1e-11
+        )
+
+    @pytest.mark.parametrize(
         "section, update, denominator",
         [
-            ("coupling", {"U": 1e-300, "V": 0.0}, "(U - V)^2"),
-            (
-                "coupling", {"U": 0.4032, "V": 0.0, "t00": 3e-162, "t11": 0.0, "t12": 0.0},
-                "t_+ t_- (1 - omega^2",
-            ),
             # 1e-12 * hbar_omega0 underflows to 0, but the denominator is 0 too
             (
                 "dot_i", {"hbar_omega0": 2e-323, "zeeman_z": 1e-323, "gradient_coupling": 0.0},
                 "perturbation theory breaks down",
             ),
         ],
-        ids=["gap-squared", "detuned-product", "subnormal-dot"],
+        ids=["subnormal-dot"],
     )
     def test_underflowing_denominator_exit_singular(self, tmp_path, section, update, denominator):
         config = json.loads(json.dumps(EXAMPLE_CONFIG))

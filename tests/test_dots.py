@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -327,25 +326,29 @@ class TestEffectiveParams:
             effective_params(dot, dot, coupling)
 
     @pytest.mark.parametrize(
-        "zeeman_z, coupling, denominator",
+        "dot, coupling, k",
         [
             # U != V, but (U - V)^2 underflows to 0
-            (0.2, CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
+            ((1.0, 0.2, 0.1, 0.05), (1e-300, 0.0, 0.05, 0.05, 0.02), 600),
             # t_+ t_- ~ 1e-323 is not 0, but its product with 1 - omega^2 / (U - V)^2 is
-            (
-                0.2,
-                CouplingSpec(U=0.4032, V=0.0, t00=3e-162, t11=0.0, t12=0.0),
-                "t_+ t_- (1 - omega^2 / (U - V)^2)",
-            ),
+            ((1.0, 0.2, 0.1, 0.05), (0.4032, 0.0, 3e-162, 0.0, 0.0), 200),
             # omega = 0 is far from |U - V| = 1e-300: no resonance, though both squares are 0
-            (0.0, CouplingSpec(U=1e-300, V=0.0, t00=0.05, t11=0.05, t12=0.02), "(U - V)^2"),
+            ((1.0, 0.0, 0.1, 0.05), (1e-300, 0.0, 0.05, 0.05, 0.02), 600),
+            # omega = 0, and the pure number 2 f^2 / (U - V)^2 overflows: omega~ = 0
+            ((1.0, 0.0, 0.1, 0.05), (1.0, 0.5, 0.05, 0.05, 1e160), -100),
+            # f_+ and f_- are finite, their sum overflows, f does not
+            ((1.0, 0.2, 0.45, 0.05), (1e308, 0.0, 1e307, 1e307, 1.7e308), -1),
         ],
-        ids=["gap-squared", "detuned-product", "gap-squared-at-zero-frequency"],
+        ids=[
+            "gap-squared", "detuned-product", "gap-squared-at-zero-frequency",
+            "zero-frequency-overflowing-shift", "overflowing-f-sum",
+        ],
     )
-    def test_underflowing_denominator_raises(self, zeeman_z, coupling, denominator):
-        dot = DotSpec(**dict(EXAMPLE_DOT, zeeman_z=zeeman_z))
-        with pytest.raises(SingularityError, match=re.escape(f"{denominator} underflows to 0")):
-            effective_params(dot, dot, coupling)
+    def test_edge_device_maps_like_its_scaled_copy(self, dot, coupling, k):
+        # two equal dots; at the copy times 2**k every input stays a normal float
+        unit, scaled = (map_in_unit([dot, dot], coupling, shift) for shift in (0, k))
+        assert math.isfinite(unit.f) and math.isfinite(unit.omega_tilde)
+        assert_maps_alike(unit, scaled, k)
 
     @pytest.mark.parametrize("U", [1.5e-39, 2e155, 1e300], ids=["tiny-gap", "gap-near-omega", "huge-gap"])
     def test_overflowing_squares_keep_both_terms(self, U):
@@ -363,35 +366,25 @@ class TestEffectiveParams:
         assert e.omega_tilde == pytest.approx(float(omega_tilde), rel=1e-15)
 
     def test_every_energy_unit_gives_the_same_parameters(self):
-        # D * 2**k maps to the fields of D, each energy times 2**k, wherever
-        # both map and that product is a normal float
-        compared = overflowing = 0
-        for k, dots, coupling in unit_pairs(1500, seed=2027):
-            results = []
-            for shift in (0, k):
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")  # strained and unequal dots are inputs too
-                        results.append(
-                            effective_params(
-                                *(DotSpec(*(math.ldexp(x, shift) for x in dot)) for dot in dots),
-                                CouplingSpec(*(math.ldexp(x, shift) for x in coupling)),
-                            )
-                        )
-                except SingularityError:
-                    break
-            if len(results) < 2:
+        # D and D * 2**k take the same decision: both raise the same error, or
+        # both map and D * 2**k has the fields of D, each energy times 2**k,
+        # wherever that product is a normal float
+        mapped = raised = overflowing = underflowing = 0
+        for k, dots, coupling in unit_pairs(2000, seed=2027):
+            unit, scaled = (map_in_unit(dots, coupling, shift) for shift in (0, k))
+            if isinstance(unit, str) or isinstance(scaled, str):
+                assert unit == scaled, k
+                raised += 1
                 continue
-            unit, scaled = results
-            for field in dataclasses.fields(EffectiveParams):
-                value = getattr(unit, field.name)
-                expected = in_unit(value, k) if field.name in ENERGY_FIELDS else value
-                if expected is not None:
-                    assert repr(getattr(scaled, field.name)) == repr(expected), (field.name, k)
-            compared += 1
-            overflowing += scaled.t_plus * scaled.t_minus == math.inf
-        assert compared > 1400
-        assert overflowing > 400
+            assert_maps_alike(unit, scaled, k)
+            mapped += 1
+            products = [e.t_plus * e.t_minus for e in (unit, scaled)]
+            overflowing += math.inf in products
+            underflowing += 0.0 in products
+        assert mapped > 1800
+        assert raised > 50
+        assert overflowing > 300
+        assert underflowing > 250
 
     def test_zero_gradient_in_dot_i_with_nonzero_f_minus_raises(self):
         dot_i = DotSpec(**dict(EXAMPLE_DOT, g_times_b=0.0))
@@ -420,26 +413,64 @@ def in_unit(value, k):
         result = math.ldexp(value, k)
     except OverflowError:
         return None
-    return result if result == 0.0 or abs(result) >= sys.float_info.min else None
+    return result if value == 0.0 or abs(result) >= sys.float_info.min else None
 
 
 def unit_pairs(count, seed):
     """Seeded devices ``(k, dots, coupling)``, each dot and the coupling as the
-    field tuple of its type in unit 1, with k in [-300, 1000]: from k ~ 510 on,
-    squares of the energies times 2**k overflow. Every field is at least 1e-3
-    in size."""
+    field tuple of its type in unit 1, with k in [-1000, 1000], raised where
+    needed so that every input times 2**k is a normal float: from k ~ 510 on,
+    squares of unit-size energies times 2**k overflow. The dot fields and U, V
+    are at least 1e-3 in size; the tunnelings are 1e-3 to 0.3 in half the
+    devices and 1e-200 to 0.3 in the other half, and t00 = t11 = 0 in one in
+    twenty, where the tunneling product vanishes."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        k = int(rng.integers(-300, 1001))
         dots = []
         for _ in range(2):
             zeeman = rng.uniform(-0.45, 0.45)
             gradient = rng.uniform(1e-3, 0.3) * (1.0 - abs(zeeman))
             dots.append((1.0, zeeman, gradient * rng.choice([-1, 1]), rng.uniform(0.01, 0.1)))
         gap = rng.uniform(0.05, 3.0) * rng.choice([-1, 1])
-        V = rng.uniform(-1.0, 1.0)
-        tunneling = rng.uniform(1e-3, 0.3, 3) * rng.choice([-1, 1], 3)
-        yield k, dots, (V + gap, V, *tunneling)
+        V = rng.uniform(1e-3, 1.0) * rng.choice([-1, 1])
+        if rng.random() < 0.5:
+            tunneling = rng.uniform(1e-3, 0.3, 3)
+        else:
+            tunneling = 10.0 ** rng.uniform(-200, math.log10(0.3), 3)
+        tunneling *= rng.choice([-1, 1], 3)
+        if rng.random() < 0.05:
+            tunneling[:2] = 0.0
+        coupling = (V + gap, V, *tunneling)
+        smallest = min(math.frexp(x)[1] for x in (*dots[0], *dots[1], *coupling) if x)
+        yield int(rng.integers(max(-1000, -1021 - smallest), 1001)), dots, coupling
+
+
+def map_in_unit(dots, coupling, k):
+    """``effective_params`` of the device with every energy times 2**k, or the
+    text of its ``SingularityError`` up to the first parenthesis, where the
+    values it quotes carry the unit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strained and unequal dots are inputs too
+        try:
+            return effective_params(
+                *(DotSpec(*(math.ldexp(x, k) for x in dot)) for dot in dots),
+                CouplingSpec(*(math.ldexp(x, k) for x in coupling)),
+            )
+        except SingularityError as exc:
+            return str(exc).split(" (")[0]
+
+
+def assert_maps_alike(unit, scaled, k):
+    """Each field of ``scaled`` is that of ``unit``, times 2**k for an energy;
+    an energy is compared where each side times the other's power of two is a
+    normal float or 0."""
+    for field in dataclasses.fields(EffectiveParams):
+        value, got = getattr(unit, field.name), getattr(scaled, field.name)
+        if field.name in ENERGY_FIELDS:
+            value = in_unit(value, k)
+            if value is None or in_unit(got, -k) is None:
+                continue
+        assert repr(got) == repr(value), (field.name, k)
 
 
 def make_effective(j_eff, delta_tilde, omega_tilde):
