@@ -137,8 +137,8 @@ def cmd_delta_scan(args) -> int:
 def cmd_fidelity_sweep(args) -> int:
     points = check_integer(args.points, "--points", "positive")
     # checked before linspace, which warns on a non-finite end
-    xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz"), points)
-    h = np.linspace(0.0, check_real(args.max_h, "--max-h"), points)
+    xz = np.linspace(0.0, check_real(args.max_xz, "--max-xz", "nonnegative"), points)
+    h = np.linspace(0.0, check_real(args.max_h, "--max-h", "nonnegative"), points)
     rows = fidelity_grid(xz, h, samples=args.samples, seed=args.seed)
     _write_table(rows, FidelityGridRow, args.format, args.output)
     return EXIT_OK
@@ -182,6 +182,7 @@ def _load_device_config(path: str):
 def cmd_pseudospin_map(args) -> int:
     if (args.m is None) != (args.n is None):
         raise ValidationError("--m and --n must be given together")
+    check_real(args.tolerance, "tolerance", "nonnegative")
     dot_i, dot_j, coupling = _load_device_config(args.config)
     effective = effective_params(dot_i, dot_j, coupling)
     # map before printing anything, so a rejected input leaves no partial output

@@ -15,8 +15,9 @@ class SingularityError(ArithmeticError):
     """A parameter combination hits an exact physical singularity.
 
     Raised for degenerate perturbation denominators, perturbed levels that
-    overflow, the charge-gap / qubit-splitting resonance, and a vanishing
-    tunneling product.
+    overflow, the charge-gap / qubit-splitting resonance, a vanishing
+    tunneling product, and an inhomogeneity ratio g_j b_j / g_i b_i that is
+    undefined because dot i has zero gradient while f_- is nonzero.
     """
 
 

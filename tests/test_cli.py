@@ -121,6 +121,19 @@ def write_config(tmp_path, data):
     return str(path)
 
 
+def run_in_fresh_process(argv):
+    """``python -m xxzswap.cli`` on ``argv`` in a new process, whose warnings and
+    tracebacks reach its stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "xxzswap.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
 def parse_fields(output):
     fields = {}
     for line in output.strip().splitlines():
@@ -182,12 +195,15 @@ class TestSwapSolve:
             SWEEP + ["--max-xz", "1e308", "--max-h", "1"],
             SWEEP + ["--max-h", "1e301"],
             SOLVE + ["--tolerance", "0.5"],
+            # one point sits at 0, so a negative extent would print a row
+            ["fidelity-sweep", "--points", "1", "--samples", "10", "--max-xz", "-5"],
+            ["fidelity-sweep", "--points", "1", "--samples", "10", "--max-h", "-5"],
         ],
         ids=[
             "negative-seed", "seed-beyond-2**128", "negative-tolerance", "nan-tolerance", "unit-tolerance",
             "m-beyond-float-range", "sweep-inf-max-xz", "sweep-nan-max-xz",
             "sweep-inf-max-h", "sweep-nan-max-h", "sweep-huge-max-xz", "sweep-huge-max-h",
-            "half-tolerance",
+            "half-tolerance", "sweep-one-point-negative-max-xz", "sweep-one-point-negative-max-h",
         ],
     )
     def test_out_of_range_option_exit_usage(self, argv, capsys):
@@ -419,6 +435,10 @@ class TestPseudospinMap:
             ["--m", "1", "--n", "0", "--tolerance", "-1"],
             ["--m", "3", "--n", "1"],  # even |m - n|
             ["--m", "1"],
+            # checked without --m and --n too, though only the mapping uses it
+            ["--tolerance", "-1"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "inf"],
         ],
     )
     def test_rejected_mapping_prints_nothing(self, tmp_path, capsys, pair):
@@ -435,14 +455,7 @@ class TestPseudospinMap:
         for key in ("dot_i", "dot_j"):
             config[key].update(zeeman_z=0.2, gradient_coupling=0.5, g_times_b=0.5)
         argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1"]
-        src = str(Path(cli.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-m", "xxzswap.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=60,
-        )
+        result = run_in_fresh_process(argv)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: --m and --n must be given together\n"
@@ -648,14 +661,7 @@ class TestPseudospinMap:
         config = json.loads(json.dumps(EXAMPLE_CONFIG))
         config[section].update(update)
         argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
-        src = str(Path(cli.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-m", "xxzswap.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=60,
-        )
+        result = run_in_fresh_process(argv)
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {denominator}")
@@ -672,14 +678,7 @@ class TestPseudospinMap:
             }
         config["coupling"] = {"U": 1e200, "V": 0.0, "t00": 0.05, "t11": 0.05, "t12": 0.02}
         argv = ["pseudospin-map", "--config", write_config(tmp_path, config), "--m", "1", "--n", "0"]
-        src = str(Path(cli.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-m", "xxzswap.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=60,
-        )
+        result = run_in_fresh_process(argv)
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.startswith("error: pseudospin levels are not finite")

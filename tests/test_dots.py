@@ -338,10 +338,15 @@ class TestEffectiveParams:
             ((1.0, 0.0, 0.1, 0.05), (1.0, 0.5, 0.05, 0.05, 1e160), -100),
             # f_+ and f_- are finite, their sum overflows, f does not
             ((1.0, 0.2, 0.45, 0.05), (1e308, 0.0, 1e307, 1e307, 1.7e308), -1),
+            # the example device, where t_+ t_-, h^2 and the squares overflow in the copy
+            ((1.0, 0.2, 0.1, 0.05), (1.0, 0.5, 0.05, 0.05, 0.02), 600),
+            # as overflowing-f-sum, with both mixings below the 0.3 that warns
+            ((1.0, 0.05, 0.38, 0.05), (1e308, 0.0, 1e307, 1e307, 1.7e308), -1),
         ],
         ids=[
             "gap-squared", "detuned-product", "gap-squared-at-zero-frequency",
-            "zero-frequency-overflowing-shift", "overflowing-f-sum",
+            "zero-frequency-overflowing-shift", "overflowing-f-sum", "example-times-2**600",
+            "overflowing-f-sum-below-warning",
         ],
     )
     def test_edge_device_maps_like_its_scaled_copy(self, dot, coupling, k):
